@@ -109,9 +109,12 @@ func main() {
 		os.Exit(2)
 	}
 	// With -wal-dir the served index is a durable store: mutations are
-	// write-ahead logged (batch failures answer StatusErr; a single-op log
-	// failure fail-stops its connection), and startup recovers whatever the
-	// directory holds. Without it, the index lives and dies in memory.
+	// write-ahead logged in commit groups and acked on completion (a log
+	// failure answers StatusErr on the request and poisons the store; only
+	// behind -shard, where the node calls the store synchronously, does a
+	// single-op failure still fail-stop its connection), and startup recovers
+	// whatever the directory holds. Without it, the index lives and dies in
+	// memory.
 	var idx server.Index
 	var wm *dytis.WALMetrics
 	var closeIndex func() error

@@ -21,8 +21,9 @@ import (
 //	defer store.Close()
 //	err = store.Insert(42, 1) // nil = durably logged
 //
-// Mutations on a DurableStore return errors (the durability ack can fail);
-// reads go straight to the in-memory index. See the internal/wal package
+// Mutations on a DurableStore return errors (the durability ack can fail)
+// and commit in groups — concurrent callers share one log write and one
+// fsync; reads go straight to the in-memory index. See the internal/wal package
 // documentation and DESIGN.md's durability section for the on-disk format
 // and the exact crash-consistency guarantees per fsync policy.
 

@@ -2,8 +2,11 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,8 +34,16 @@ func durableOpts() wal.Options {
 // TestE2EDurableServer drives concurrent clients against a server whose
 // index is a WAL-backed store, then closes everything cleanly and recovers
 // the directory: the recovered index must hold exactly the merged oracle
-// state — the wire ack was a durability ack.
+// state — the wire ack was a durability ack. Mutations are submitted and
+// acked on completion, out of order with the reads around them; request ids
+// sort that out on either protocol version, so a v1 client runs the same
+// drill.
 func TestE2EDurableServer(t *testing.T) {
+	t.Run("v2", func(t *testing.T) { e2eDurableServer(t) })
+	t.Run("v1", func(t *testing.T) { e2eDurableServer(t, client.WithV1Protocol()) })
+}
+
+func e2eDurableServer(t *testing.T, dialOpts ...client.Option) {
 	dir := t.TempDir()
 	st, err := wal.Open(dir, durableOpts())
 	if err != nil {
@@ -52,7 +63,7 @@ func TestE2EDurableServer(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := client.Dial(addr, client.WithPipeline(16))
+			c, err := client.Dial(addr, append([]client.Option{client.WithPipeline(16)}, dialOpts...)...)
 			if err != nil {
 				t.Errorf("client %d: dial: %v", id, err)
 				return
@@ -155,17 +166,20 @@ func TestE2EDurableServer(t *testing.T) {
 }
 
 // TestDurableServerBatchErrorSurfaces: once the store refuses mutations
-// (closed here, poisoned in production), a batch mutation over the wire
-// comes back as a typed server error on that request — reads keep serving.
+// (closed here, poisoned below), a mutation over the wire — batch or single
+// — comes back as a typed server error on that request, through its
+// completion; no handler panics, the connection stays up, reads keep
+// serving.
 func TestDurableServerBatchErrorSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	st, err := wal.Open(dir, durableOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := startIndex(t, st.Serving(), st.Index(), server.Config{})
+	m := &server.Metrics{}
+	addr, _ := startIndex(t, st.Serving(), st.Index(), server.Config{Metrics: m})
 	ctx := context.Background()
-	c, err := client.Dial(addr)
+	c, err := client.Dial(addr, client.WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +190,75 @@ func TestDurableServerBatchErrorSurfaces(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InsertBatch(ctx, []uint64{3}, []uint64{30}); err == nil {
-		t.Fatal("batch insert on a closed store acked over the wire")
+	requireMutationsRefused(t, c, "store closed")
+	if m.Panics() != 0 || m.ConnsTotal() != 1 {
+		t.Fatalf("panics = %d, connections = %d: a refused mutation must fail its request, not its connection",
+			m.Panics(), m.ConnsTotal())
 	}
+}
+
+// requireMutationsRefused drives every mutation opcode at a store that must
+// refuse them and requires a server error naming why, with reads unharmed.
+func requireMutationsRefused(t *testing.T, c *client.Client, why string) {
+	t.Helper()
+	ctx := context.Background()
+	refused := func(op string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s on a refusing store acked over the wire", op)
+		}
+		if !strings.Contains(err.Error(), why) {
+			t.Fatalf("%s failed with %q, want the store's %q", op, err, why)
+		}
+	}
+	refused("insert batch", c.InsertBatch(ctx, []uint64{3}, []uint64{30}))
+	_, err := c.DeleteBatch(ctx, []uint64{1})
+	refused("delete batch", err)
+	refused("insert", c.Insert(ctx, 3, 30))
+	_, err = c.Delete(ctx, 1)
+	refused("delete", err)
 	// The in-memory structure still answers reads.
 	if v, ok, err := c.Get(ctx, 1); err != nil || !ok || v != 10 {
-		t.Fatalf("Get after store close = %d,%v,%v", v, ok, err)
+		t.Fatalf("Get on a refusing store = %d,%v,%v", v, ok, err)
+	}
+	if _, ok, err := c.Get(ctx, 3); err != nil || ok {
+		t.Fatalf("Get(3) = %v,%v: a refused insert was applied", ok, err)
+	}
+}
+
+// TestDurableServerPoisonedStore: a log failure under a single-op mutation
+// answers StatusErr on that request and poisons the store; every later
+// mutation keeps failing the same way.
+func TestDurableServerPoisonedStore(t *testing.T) {
+	opts := durableOpts()
+	opts.Fsync = wal.FsyncAlways
+	var failing atomic.Bool
+	opts.Hooks.Sync = func() error {
+		if failing.Load() {
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	}
+	st, err := wal.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := &server.Metrics{}
+	addr, _ := startIndex(t, st.Serving(), st.Index(), server.Config{Metrics: m})
+	c, err := client.Dial(addr, client.WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Insert(context.Background(), 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	failing.Store(true)
+	requireMutationsRefused(t, c, "store failed")
+	failing.Store(false) // the disk recovers; the store must not
+	requireMutationsRefused(t, c, "store failed")
+	if m.Panics() != 0 || m.ConnsTotal() != 1 {
+		t.Fatalf("panics = %d, connections = %d", m.Panics(), m.ConnsTotal())
 	}
 }

@@ -15,7 +15,20 @@
 // channel, which blocks the read loop, which fills the client's send window.
 // No per-connection buffering grows beyond the channel's Pipeline frames.
 //
-// Because every index operation a connection issues runs on that
+// On a backend whose mutations commit in groups (Committer — the durable
+// wal.Store adapter) a mutation leaves the read loop early and its response
+// joins the write loop late:
+//
+//	read loop ──submit──► backend queue ──commit──► completion ──► acks chan ──► write loop
+//
+// so the read loop never waits out an fsync and responses complete out of
+// order: a read overtakes the ack of a write sent before it. The ordering
+// rule is: the mutations of one connection apply in arrival order; a request
+// sent after a response was received observes that response's effect;
+// nothing else is ordered. Pending mutations count against the same Pipeline
+// bound, so the chain above stays self-throttling (see commit.go).
+//
+// Because every other index operation a connection issues runs on that
 // connection's read-loop goroutine, the server is exactly the multi-client
 // adversarial workload the Concurrent index was built for: N connections =
 // N goroutines hammering Get/Insert/Delete/Scan (the optimistic read path
@@ -27,7 +40,8 @@
 // the connection closes — a pipelining client receives an answer for
 // everything the server read off the wire — and Shutdown returns when every
 // connection has drained, or forcibly closes the stragglers when its
-// context expires.
+// context expires. A submitted mutation counts as read: the drain waits for
+// its commit and answers it.
 package server
 
 import (
@@ -53,7 +67,9 @@ import (
 // adapter. The index must be safe for concurrent use: every connection
 // drives it from its own goroutine. The batch mutation paths may fail
 // (closed index, write-ahead-log append failure); a non-nil error is
-// answered as StatusErr on that request, nothing is retried server-side.
+// answered as StatusErr on that request, nothing is retried server-side. An
+// Index that also implements Committer has its mutations submitted instead
+// of called (unless Config.Cluster wraps it).
 type Index interface {
 	Get(key uint64) (uint64, bool)
 	Insert(key, value uint64)
@@ -148,8 +164,15 @@ type Server struct {
 	serving  atomic.Bool        // set once Serve has a listener
 
 	// inflight is the admission-control semaphore (nil when MaxInflight is
-	// 0): a slot is held for the duration of one request's index work.
+	// 0): a slot is held for the duration of one request's index work — for
+	// a submitted mutation, until its commit completes.
 	inflight chan struct{}
+
+	// committer is cfg.Index's Committer side, nil when it has none or when a
+	// cluster node wraps the index (the node calls the synchronous methods).
+	// Non-nil switches every connection's mutations to the submitted path of
+	// commit.go.
+	committer Committer
 
 	closed chan struct{} // closed when Shutdown begins
 	wg     sync.WaitGroup
@@ -193,6 +216,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
+	}
+	if cfg.Cluster == nil {
+		s.committer, _ = cfg.Index.(Committer)
 	}
 	return s
 }

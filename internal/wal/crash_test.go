@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -35,6 +36,15 @@ import (
 //
 // The op stream is a fixed function of the op index (no seeds to drift), so
 // parent and child agree on it by construction.
+//
+// The concurrent leg (TestCrashRecoveryConcurrent) runs eight writers whose
+// mutations share commit groups, so the log's interleaving is no longer
+// known to the parent. Writer w owns ops w, w+8, w+16, … of the same
+// stream — which keeps each writer's keys its own, deletes included — and
+// acks each as it returns. A log prefix then shows as a prefix of every
+// writer's sequence: at least its acked ops (an acked write is never lost)
+// and at most one more (a writer has one op in flight), with nothing else in
+// the index.
 
 const (
 	crashGolden = 0x9E3779B97F4A7C15
@@ -118,17 +128,28 @@ func TestCrashRecoveryChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < total; i++ {
-		crashApply(i,
-			func(keys, vals []uint64) {
-				if len(keys) == 1 {
-					err = s.Insert(keys[0], vals[0])
-				} else {
-					err = s.InsertBatch(keys, vals)
+	if os.Getenv("WAL_CRASH_CONCURRENT") != "" {
+		var wg sync.WaitGroup
+		for w := uint64(0); w < crashWriters; w++ {
+			wg.Add(1)
+			go func(w uint64) {
+				defer wg.Done()
+				for i := uint64(0); i < total/crashWriters; i++ {
+					if err := crashDo(s, i*crashWriters+w); err != nil {
+						t.Errorf("writer %d op %d: %v", w, i, err)
+						return
+					}
+					fmt.Fprintf(os.Stdout, "ack %d %d\n", w, i+1) // one write(2) per line
 				}
-			},
-			func(key uint64) { _, err = s.Delete(key) })
-		if err != nil {
+			}(w)
+		}
+		wg.Wait()
+		fmt.Fprintln(os.Stdout, "done")
+		s.Close()
+		return
+	}
+	for i := uint64(0); i < total; i++ {
+		if err := crashDo(s, i); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		fmt.Fprintf(os.Stdout, "ack %d\n", i+1)
@@ -141,6 +162,151 @@ func TestCrashRecoveryChild(t *testing.T) {
 	// clean-shutdown recovery check instead.
 	fmt.Fprintln(os.Stdout, "done")
 	s.Close()
+}
+
+// startCrashChild re-executes this test binary as the victim process and
+// returns it with a line scanner over its acks and its collected stderr.
+func startCrashChild(t *testing.T, dir, fsync, stage string, ops uint64, env ...string) (*exec.Cmd, *bufio.Scanner, *bytes.Buffer) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashRecoveryChild$")
+	cmd.Env = append(append(os.Environ(),
+		crashDirEnv+"="+dir,
+		"WAL_CRASH_FSYNC="+fsync,
+		"WAL_CRASH_STAGE="+stage,
+		"WAL_CRASH_OPS="+strconv.FormatUint(ops, 10),
+	), env...)
+	stderr := &bytes.Buffer{}
+	cmd.Stderr = stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return cmd, bufio.NewScanner(stdout), stderr
+}
+
+// crashDo applies op i of the stream to the store.
+func crashDo(s *wal.Store, i uint64) (err error) {
+	crashApply(i,
+		func(keys, vals []uint64) {
+			if len(keys) == 1 {
+				err = s.Insert(keys[0], vals[0])
+			} else {
+				err = s.InsertBatch(keys, vals)
+			}
+		},
+		func(key uint64) { _, err = s.Delete(key) })
+	return err
+}
+
+// crashWriters is the concurrent leg's writer count. It divides the
+// stream's delete distance (16), so an op and the op whose key it deletes
+// belong to the same writer.
+const crashWriters = 8
+
+func TestCrashRecoveryConcurrent(t *testing.T) {
+	if os.Getenv(crashDirEnv) != "" {
+		t.Skip("crash child must not recurse into the parent test")
+	}
+	const (
+		ops    = 8000
+		killAt = 3000 // total acks across writers
+	)
+	dir := t.TempDir()
+	cmd, sc, stderr := startCrashChild(t, dir, "always", "", ops, "WAL_CRASH_CONCURRENT=1")
+	var acked [crashWriters]uint64
+	total, killed, childDone := uint64(0), false, false
+	for sc.Scan() {
+		line := sc.Text()
+		var w, n uint64
+		if _, err := fmt.Sscanf(line, "ack %d %d", &w, &n); err == nil && w < crashWriters {
+			total += n - acked[w]
+			acked[w] = n
+		} else if line == "done" {
+			childDone = true
+		}
+		if !killed && total >= killAt {
+			killed = true
+			if err := cmd.Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cmd.Wait(); err == nil && !childDone {
+		t.Fatalf("child exited cleanly without finishing (stderr: %s)", stderr)
+	}
+	if total == 0 {
+		t.Fatalf("no ops acked before the crash (stderr: %s)", stderr)
+	}
+	t.Logf("child crashed after %d acked ops: %v per writer", total, acked)
+
+	st, err := wal.Open(dir, wal.Options{Index: crashIndexOpts()})
+	if err != nil {
+		t.Fatalf("recovery failed: %v (stderr: %s)", err, stderr)
+	}
+	defer st.Close()
+	t.Logf("recovery: %+v", st.Recovery())
+	if vs := check.Check(st.Index()); len(vs) != 0 {
+		t.Fatalf("recovered index unsound: %v", vs)
+	}
+
+	// Per writer: the recovered contents of its key space must equal its
+	// first L ops for some acked <= L <= acked+1.
+	keys := 0
+	for w := uint64(0); w < crashWriters; w++ {
+		touched := map[uint64]bool{} // every key the writer's whole sequence names
+		for i := uint64(0); i < ops/crashWriters; i++ {
+			crashApply(i*crashWriters+w,
+				func(ks, _ []uint64) {
+					for _, k := range ks {
+						touched[k] = true
+					}
+				},
+				func(k uint64) { touched[k] = true })
+		}
+		model := map[uint64]uint64{}
+		matched := -1
+		for l := uint64(0); l <= min(acked[w]+1, ops/crashWriters); l++ {
+			if l > 0 {
+				crashApply((l-1)*crashWriters+w,
+					func(ks, vs []uint64) {
+						for i := range ks {
+							model[ks[i]] = vs[i]
+						}
+					},
+					func(k uint64) { delete(model, k) })
+			}
+			if l < acked[w] {
+				continue
+			}
+			same := true
+			for k := range touched {
+				got, ok := st.Get(k)
+				want, has := model[k]
+				if ok != has || got != want {
+					same = false
+					break
+				}
+			}
+			if same {
+				matched = int(l)
+				break
+			}
+		}
+		if matched < 0 {
+			t.Fatalf("writer %d: recovered keys match neither its first %d (acked) nor %d ops: acked writes lost or wrong answers",
+				w, acked[w], acked[w]+1)
+		}
+		keys += len(model)
+	}
+	if st.Len() != keys {
+		t.Fatalf("recovered Len = %d, the writers' prefixes hold %d keys", st.Len(), keys)
+	}
+	if err := st.Insert(^uint64(0), 1); err != nil {
+		t.Fatalf("post-recovery insert: %v", err)
+	}
 }
 
 func TestCrashRecovery(t *testing.T) {
@@ -163,28 +329,12 @@ func TestCrashRecovery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashRecoveryChild$")
-			cmd.Env = append(os.Environ(),
-				crashDirEnv+"="+dir,
-				"WAL_CRASH_FSYNC="+tc.fsync,
-				"WAL_CRASH_STAGE="+tc.stage,
-				"WAL_CRASH_OPS="+strconv.FormatUint(tc.ops, 10),
-			)
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			stdout, err := cmd.StdoutPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
+			cmd, sc, stderr := startCrashChild(t, dir, tc.fsync, tc.stage, tc.ops)
 			// Count acks as they stream; past the kill point, pull the
 			// trigger and keep draining — acks already in flight when the
 			// signal lands still count as acked.
 			var acked uint64
 			killed, childDone := false, false
-			sc := bufio.NewScanner(stdout)
 			for sc.Scan() {
 				line := sc.Text()
 				if n, ok := strings.CutPrefix(line, "ack "); ok {
@@ -203,21 +353,21 @@ func TestCrashRecovery(t *testing.T) {
 					}
 				}
 			}
-			err = cmd.Wait()
+			err := cmd.Wait()
 			if tc.killAt < 0 && childDone {
-				t.Fatalf("hook stage %q never fired; child ran to completion (stderr: %s)", tc.stage, &stderr)
+				t.Fatalf("hook stage %q never fired; child ran to completion (stderr: %s)", tc.stage, stderr)
 			}
 			if err == nil && !childDone {
-				t.Fatalf("child exited cleanly without finishing (stderr: %s)", &stderr)
+				t.Fatalf("child exited cleanly without finishing (stderr: %s)", stderr)
 			}
 			if acked == 0 {
-				t.Fatalf("no ops acked before the crash (stderr: %s)", &stderr)
+				t.Fatalf("no ops acked before the crash (stderr: %s)", stderr)
 			}
 			t.Logf("child crashed after %d acked ops", acked)
 
 			st, err := wal.Open(dir, wal.Options{Index: crashIndexOpts()})
 			if err != nil {
-				t.Fatalf("recovery failed: %v (stderr: %s)", err, &stderr)
+				t.Fatalf("recovery failed: %v (stderr: %s)", err, stderr)
 			}
 			defer st.Close()
 			info := st.Recovery()

@@ -14,6 +14,8 @@ import (
 type Metrics struct {
 	//dytis:series dytis_wal_appends_total
 	appends atomic.Int64 // records appended (batch split counts each record)
+	//dytis:series dytis_wal_commit_groups_total
+	groups atomic.Int64 // commit groups appended: one write and, under FsyncAlways, one fsync each
 	//dytis:series dytis_wal_bytes_total
 	bytes atomic.Int64 // framed bytes appended
 	//dytis:series dytis_wal_fsyncs_total
@@ -49,6 +51,10 @@ func (m *Metrics) fsync(ns int64) {
 
 // Appends returns the number of records appended.
 func (m *Metrics) Appends() int64 { return m.appends.Load() }
+
+// CommitGroups returns the number of commit groups appended; Appends over
+// CommitGroups is the mean group size.
+func (m *Metrics) CommitGroups() int64 { return m.groups.Load() }
 
 // Bytes returns the number of framed bytes appended.
 func (m *Metrics) Bytes() int64 { return m.bytes.Load() }
@@ -87,6 +93,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		v               int64
 	}{
 		{"dytis_wal_appends_total", "counter", "WAL records appended (split batch records counted individually).", m.appends.Load()},
+		{"dytis_wal_commit_groups_total", "counter", "Commit groups appended to the WAL (appends over groups is the mean group size).", m.groups.Load()},
 		{"dytis_wal_bytes_total", "counter", "Framed bytes appended to the WAL.", m.bytes.Load()},
 		{"dytis_wal_fsyncs_total", "counter", "fsync calls issued on the active WAL segment.", m.fsyncs.Load()},
 		{"dytis_wal_fsync_nanoseconds_total", "counter", "Time spent in WAL segment fsyncs.", m.fsyncNS.Load()},

@@ -135,7 +135,7 @@ func Open(dir string, o Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	log.onRotate = opts.Hooks.Rotate
+	log.onRotate, log.onSync = opts.Hooks.Rotate, opts.Hooks.Sync
 	s.log = log
 
 	s.info.Elapsed = time.Since(start)

@@ -12,19 +12,23 @@ import (
 	"dytis/internal/kv"
 )
 
-// Store is a DyTIS index fronted by the write-ahead log: mutations append a
-// record (and, under FsyncAlways, reach stable storage) before they touch
-// the index, reads go straight through. Open recovers one from its
-// directory; Close seals the log.
+// Store is a DyTIS index fronted by the write-ahead log: mutations are
+// logged (and, under FsyncAlways, on stable storage) before they touch the
+// index, reads go straight through. Open recovers one from its directory;
+// Close seals the log.
 //
-// Concurrency: mutations and checkpoints serialize on one mutex — that is
-// the invariant recovery depends on, log order = apply order, and it is
-// also what lets the crash matrix assert exact prefixes. Reads bypass the
-// mutex entirely and run against the index concurrently with a mutation in
-// flight, so Options.Index.Concurrent must be set when the Store is shared
-// across goroutines (cmd/dytis-server does). A checkpoint holds the mutex
-// for its whole snapshot write: mutations stall for its duration, reads do
-// not.
+// Concurrency: mutations queue and commit in groups (commit.go) — one
+// committer at a time holds mu for a group's write, fsync and apply, so log
+// order = apply order, the invariant recovery depends on and what lets the
+// crash matrix assert exact prefixes. Concurrent callers of the synchronous
+// mutation methods share fsyncs; Serving's Submit methods queue without
+// waiting. Checkpoint, Sync, Close and the interval-sync ticker take the same
+// mu and so run between groups, never inside one. Reads bypass both mutexes
+// and run against the index concurrently with a group being applied, so
+// Options.Index.Concurrent must be set when the Store is shared across
+// goroutines (cmd/dytis-server does); under FsyncAlways they can never
+// observe a record that is not yet durable. A checkpoint holds mu for its
+// whole snapshot write: mutations queue up behind it, reads do not.
 type Store struct {
 	dir  string
 	opts Options
@@ -32,9 +36,15 @@ type Store struct {
 	m    *Metrics
 	info RecoveryInfo
 
+	// The commit queue. groups[open] takes enqueues under qmu; the other
+	// group belongs to the running committer (or is empty).
+	qmu        sync.Mutex
+	groups     [2]group // guarded-by: qmu
+	open       int      // guarded-by: qmu
+	committing bool     // guarded-by: qmu; a committer is running (or about to)
+
 	mu        sync.Mutex
 	log       *walLog // guarded-by: mu
-	scratch   []byte  // guarded-by: mu; reused record-encoding buffer
 	sinceCkpt int64   // guarded-by: mu; bytes appended since the last checkpoint
 	err       error   // guarded-by: mu; first log failure; poisons all later mutations
 	closed    bool    // guarded-by: mu
@@ -89,15 +99,20 @@ type Hooks struct {
 	// "written" (snapshot renamed into place and durable, old segments not
 	// yet deleted), "done".
 	Checkpoint func(stage string)
+	// Sync is called, with the store mutex held, immediately before every
+	// fsync of a log segment. Blocking in it holds a commit group open at
+	// its fsync; returning an error fails that fsync.
+	Sync func() error
 }
 
 var (
 	// ErrClosed is returned by mutations on a closed Store.
 	ErrClosed = errors.New("wal: store closed")
 	// ErrFailed wraps the first log failure; once a Store fails, every later
-	// mutation returns it (the in-memory index may be ahead of the durable
-	// log, so continuing to ack writes would promise durability the log
-	// cannot honor). Reads keep working. Match with errors.Is.
+	// mutation returns it (the log can no longer be trusted to take a
+	// record, so continuing to ack writes would promise durability it cannot
+	// honor). The group whose write or fsync failed is not applied. Reads
+	// keep working. Match with errors.Is.
 	ErrFailed = errors.New("wal: store failed")
 )
 
@@ -145,66 +160,32 @@ func (s *Store) failLocked(op string, err error) error {
 	return s.err
 }
 
-// appendLocked writes s.scratch (nrecords framed records) to the log,
-// fsyncing under FsyncAlways, then handles size-based rotation and
-// checkpoint triggering.
-//
-//dytis:locked s.mu w
-func (s *Store) appendLocked(nrecords int) error {
-	n := int64(len(s.scratch))
-	if err := s.log.append(s.scratch, nrecords); err != nil {
-		return s.failLocked("append", err)
-	}
-	s.sinceCkpt += n
-	if s.opts.SegmentBytes > 0 && s.log.size >= s.opts.SegmentBytes {
-		if err := s.log.rotate(); err != nil {
-			return s.failLocked("rotate", err)
-		}
-	}
-	if s.opts.CheckpointBytes > 0 && s.sinceCkpt >= s.opts.CheckpointBytes {
-		select {
-		case s.ckptKick <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
 // Insert durably logs then applies one insert. It returns once the record
 // is appended (and on stable storage, under FsyncAlways): a nil return is
 // the durability ack.
 func (s *Store) Insert(key, val uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.readyLocked(); err != nil {
-		return err
-	}
-	s.scratch = appendInsert(s.scratch[:0], key, val)
-	if err := s.appendLocked(1); err != nil {
-		return err
-	}
-	s.idx.Insert(key, val)
-	return nil
+	o := newOp(kindInsert)
+	o.key, o.val = key, val
+	s.commit(o)
+	err := o.err
+	o.release()
+	return err
 }
 
 // Delete durably logs then applies one delete, reporting whether the key
 // was present. Deletes of absent keys are logged too — replay makes them
 // the same no-op.
 func (s *Store) Delete(key uint64) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.readyLocked(); err != nil {
-		return false, err
-	}
-	s.scratch = appendDelete(s.scratch[:0], key)
-	if err := s.appendLocked(1); err != nil {
-		return false, err
-	}
-	return s.idx.Delete(key), nil
+	o := newOp(kindDelete)
+	o.key = key
+	s.commit(o)
+	found, err := o.found, o.err
+	o.release()
+	return found, err
 }
 
-// InsertBatch durably logs then applies a batch of inserts as one append
-// (one fsync under FsyncAlways — the group-commit path).
+// InsertBatch durably logs then applies a batch of inserts as one append:
+// the batch never spans two commit groups, so it costs at most one fsync.
 func (s *Store) InsertBatch(keys, vals []uint64) error {
 	if len(keys) != len(vals) {
 		panic("wal: InsertBatch keys/vals length mismatch")
@@ -212,16 +193,12 @@ func (s *Store) InsertBatch(keys, vals []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.readyLocked(); err != nil {
-		return err
-	}
-	s.scratch = appendInsertBatch(s.scratch[:0], keys, vals)
-	if err := s.appendLocked((len(keys) + maxBatchPairs - 1) / maxBatchPairs); err != nil {
-		return err
-	}
-	return s.idx.InsertBatch(keys, vals)
+	o := newOp(kindInsertBatch)
+	o.keys, o.vals = keys, vals
+	s.commit(o)
+	err := o.err
+	o.release()
+	return err
 }
 
 // DeleteBatch durably logs then applies a batch of deletes, appending the
@@ -230,16 +207,12 @@ func (s *Store) DeleteBatch(keys []uint64, found []bool) ([]bool, error) {
 	if len(keys) == 0 {
 		return found, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.readyLocked(); err != nil {
-		return found, err
-	}
-	s.scratch = appendDeleteBatch(s.scratch[:0], keys)
-	if err := s.appendLocked((len(keys) + maxBatchPairs - 1) / maxBatchPairs); err != nil {
-		return found, err
-	}
-	return s.idx.DeleteBatch(keys, found)
+	o := newOp(kindDeleteBatch)
+	o.keys, o.founds = keys, found
+	s.commit(o)
+	found, err := o.founds, o.err
+	o.release()
+	return found, err
 }
 
 // Get reads through to the index, bypassing the store mutex.
@@ -451,21 +424,66 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Serving adapts the Store to the server.Index interface. The batch
-// mutation paths return their errors (the server answers StatusErr); the
-// single-op paths have no error return on that interface, so a log failure
-// panics — deliberately fail-stop, because silently acking an unlogged
-// write would break the durability contract. The server's per-connection
-// panic recovery converts the panic into a StatusErr response and one
-// closed connection; every subsequent mutation keeps failing (the store is
-// poisoned), so the operator sees a loud, persistent signal rather than
-// quiet data loss.
+// Serving adapts the Store to the server.Index interface, plus the Submit
+// methods a server uses to queue a mutation without waiting for its commit.
+// The batch mutation paths and every Submit method report log failures as
+// errors (the server answers StatusErr). The synchronous single-op paths
+// have no error return on that interface, so there a log failure panics —
+// deliberately fail-stop, because silently acking an unlogged write would
+// break the durability contract; only callers that wrap the adapter in
+// another synchronous layer (cluster.Node) still reach them, and the
+// server's per-connection panic recovery converts the panic into a
+// StatusErr response and one closed connection. Either way every later
+// mutation keeps failing (the store is poisoned), so the operator sees a
+// loud, persistent signal rather than quiet data loss.
 func (s *Store) Serving() ServingIndex { return ServingIndex{s} }
 
 // ServingIndex is the server.Index adapter returned by Store.Serving; see
 // that method for the error-vs-panic contract.
 type ServingIndex struct {
 	s *Store
+}
+
+// SubmitInsert queues one insert and returns at once; done receives the
+// commit's outcome (see Done).
+func (x ServingIndex) SubmitInsert(key, val uint64, done Done) {
+	o := newOp(kindInsert)
+	o.key, o.val, o.done = key, val, done
+	x.s.submit(o)
+}
+
+// SubmitDelete queues one delete; done receives whether the key was present.
+func (x ServingIndex) SubmitDelete(key uint64, done Done) {
+	o := newOp(kindDelete)
+	o.key, o.done = key, done
+	x.s.submit(o)
+}
+
+// SubmitInsertBatch queues a batch of inserts as one record group. keys and
+// vals must stay untouched until done runs.
+func (x ServingIndex) SubmitInsertBatch(keys, vals []uint64, done Done) {
+	if len(keys) != len(vals) {
+		panic("wal: SubmitInsertBatch keys/vals length mismatch")
+	}
+	if len(keys) == 0 {
+		done(false, nil, nil)
+		return
+	}
+	o := newOp(kindInsertBatch)
+	o.keys, o.vals, o.done = keys, vals, done
+	x.s.submit(o)
+}
+
+// SubmitDeleteBatch queues a batch of deletes; done receives found extended
+// by the per-key results. keys and found must stay untouched until then.
+func (x ServingIndex) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
+	if len(keys) == 0 {
+		done(false, found, nil)
+		return
+	}
+	o := newOp(kindDeleteBatch)
+	o.keys, o.founds, o.done = keys, found, done
+	x.s.submit(o)
 }
 
 // Get reads through.

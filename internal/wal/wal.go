@@ -2,9 +2,11 @@
 // checkpoints in one directory, wrapped around the in-memory index as a
 // Store. Every mutation is framed, checksummed, and appended to the active
 // log segment before it is applied (and, under FsyncAlways, fsynced before
-// the call returns — the ack). A checkpoint is a full snapshot on the
-// WriteSnapshot/LoadSorted fast path, committed by atomic rename, after
-// which the segments it subsumes are deleted. Recovery is Open: load the
+// it is applied and before the call returns — the ack). Mutations commit in
+// groups: whatever queued while the previous group was being written shares
+// one write and one fsync (see commit.go). A checkpoint is a full snapshot
+// on the WriteSnapshot/LoadSorted fast path, committed by atomic rename,
+// after which the segments it subsumes are deleted. Recovery is Open: load the
 // newest valid checkpoint, replay the segments after it in order, tolerate
 // exactly one torn record at the tail of the newest segment (the expected
 // signature of kill -9 mid-append), and refuse — with a typed error — any
@@ -46,10 +48,11 @@ const (
 	// (Options.FsyncInterval). A crash loses at most one interval of acked
 	// writes. The default.
 	FsyncInterval
-	// FsyncAlways syncs before every mutation returns: an acked write is on
-	// stable storage. The guarantee the crash matrix proves, at the price of
-	// an fsync per mutation (group-commit batching via InsertBatch amortizes
-	// it).
+	// FsyncAlways syncs every commit group before it is applied and before
+	// any of its mutations returns: an acked write is on stable storage, and
+	// the index never holds a record a crash could lose. The guarantee the
+	// crash matrix proves, at the price of one fsync per group — a lone
+	// writer pays it per mutation, concurrent writers share it.
 	FsyncAlways
 )
 
@@ -98,8 +101,9 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // walLog is the segmented appender. It is not self-synchronizing: every
 // method runs under the owning Store's mu (lockcheck's guarded-by marker
-// only names sibling mutexes, so the discipline is stated here instead),
-// which is what makes log order equal apply order.
+// only names sibling mutexes, so the discipline is stated here instead) —
+// the committer holds it for one whole group, everything else runs between
+// groups — which is what makes log order equal apply order.
 type walLog struct {
 	dir     string
 	policy  FsyncPolicy
@@ -115,6 +119,9 @@ type walLog struct {
 	// ("sealed": old segment durable and closed, new one not yet created).
 	// The crash matrix lands kill -9 there.
 	onRotate func(stage string)
+	// onSync, when non-nil, runs immediately before every fsync of a
+	// segment; an error it returns fails that fsync (Hooks.Sync).
+	onSync func() error
 }
 
 // openLog creates and syncs a fresh active segment with the given sequence
@@ -133,14 +140,16 @@ func openLog(dir string, seq uint64, policy FsyncPolicy, m *Metrics) (*walLog, e
 	return &walLog{dir: dir, policy: policy, metrics: m, f: f, bw: bufio.NewWriterSize(f, 1<<16), seq: seq}, nil
 }
 
-// append writes one or more framed records (already encoded into rec) and,
-// under FsyncAlways, forces them to stable storage before returning.
+// append writes one commit group — one or more framed records, already
+// encoded into rec — and, under FsyncAlways, forces it to stable storage
+// before returning.
 func (l *walLog) append(rec []byte, nrecords int) error {
 	if _, err := l.bw.Write(rec); err != nil {
 		return err
 	}
 	l.size += int64(len(rec))
 	l.dirty = true
+	l.metrics.groups.Add(1)
 	l.metrics.appends.Add(int64(nrecords))
 	l.metrics.bytes.Add(int64(len(rec)))
 	if l.policy == FsyncAlways {
@@ -157,12 +166,25 @@ func (l *walLog) sync() error {
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
+	if err := l.fsync(); err != nil {
+		return err
+	}
+	l.dirty = false
+	return nil
+}
+
+// fsync forces the active segment's flushed bytes to stable storage.
+func (l *walLog) fsync() error {
+	if l.onSync != nil {
+		if err := l.onSync(); err != nil {
+			return err
+		}
+	}
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
 	l.metrics.fsync(time.Since(start).Nanoseconds())
-	l.dirty = false
 	return nil
 }
 
@@ -173,11 +195,9 @@ func (l *walLog) rotate() error {
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
+	if err := l.fsync(); err != nil {
 		return err
 	}
-	l.metrics.fsync(time.Since(start).Nanoseconds())
 	if err := l.f.Close(); err != nil {
 		return err
 	}
