@@ -7,7 +7,8 @@
 // it: goroutines issuing requests on the same Client share its pooled
 // connections, and because every request carries an id that the server
 // echoes, many requests ride one connection concurrently — the write side
-// interleaves frames, the read loop routes each response to its waiter. A
+// gathers the frames of callers that arrive together into one write, the
+// read loop routes each response to its waiter. A
 // single goroutine gets pipelining for free the same way by issuing batch
 // calls (GetBatch/InsertBatch/DeleteBatch), which amortize both framing and
 // the server's per-op dispatch.
@@ -306,10 +307,9 @@ type Client struct {
 	// for one connection but probes again on the next dial.
 	serverV1 atomic.Bool
 
-	mu     sync.Mutex
-	slots  []*slot // guarded-by: mu (slice header; slots have their own locks)
-	rr     uint64  // guarded-by: mu
-	closed bool    // guarded-by: mu
+	slots  []*slot // fixed at Dial; slots have their own locks
+	rr     atomic.Uint64
+	closed atomic.Bool
 }
 
 // breaker is the client's circuit breaker. States: closed (normal), open
@@ -391,10 +391,13 @@ func classify(err error, gotResponse bool) breakerVerdict {
 // slot is one pool position: a live connection, or a cooldown record from
 // its last failure that the next user must respect before redialing.
 type slot struct {
+	// cc is stored under mu and loaded without it: the common case of
+	// Client.conn is this load and the connection's dead flag.
+	cc atomic.Pointer[clientConn]
+
 	mu       sync.Mutex
-	cc       *clientConn // guarded-by: mu
-	failures int         // guarded-by: mu — consecutive dial/IO failures
-	lastFail time.Time   // guarded-by: mu — when the last one happened
+	failures int       // guarded-by: mu — consecutive dial/IO failures
+	lastFail time.Time // guarded-by: mu — when the last one happened
 }
 
 // Dial connects to a dytis-server at addr. The first connection is
@@ -419,7 +422,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.slots[0].cc = cc
+	c.slots[0].cc.Store(cc)
 	return c, nil
 }
 
@@ -439,19 +442,13 @@ func (c *Client) Protocol(ctx context.Context) (version uint8, features uint32, 
 // matching ErrClientClosed. Close is idempotent and safe to call
 // concurrently with operations.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	slots := c.slots
-	c.mu.Unlock()
-	for _, s := range slots {
+	for _, s := range c.slots {
 		s.mu.Lock()
-		if s.cc != nil {
-			s.cc.fail(ErrClientClosed)
-			s.cc = nil
+		if cc := s.cc.Swap(nil); cc != nil {
+			cc.fail(ErrClientClosed)
 		}
 		s.mu.Unlock()
 	}
@@ -462,21 +459,25 @@ func (c *Client) Close() error {
 // previous connection died — waiting out the slot's backoff first, bounded
 // by both the reconnect budget and ctx.
 func (c *Client) conn(ctx context.Context) (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
+	s := c.slots[0]
+	if len(c.slots) > 1 {
+		s = c.slots[c.rr.Add(1)%uint64(len(c.slots))]
 	}
-	c.rr++
-	s := c.slots[c.rr%uint64(len(c.slots))]
-	c.mu.Unlock()
+	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() {
+		return cc, nil
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cc != nil && !s.cc.broken() {
-		return s.cc, nil
+	// Checked under the slot lock: Close sets the flag before it visits the
+	// slots, so a connection dialed past this point is one Close will find.
+	if c.closed.Load() {
+		return nil, ErrClientClosed
 	}
-	s.cc = nil
+	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() { // another goroutine redialed
+		return cc, nil
+	}
+	s.cc.Store(nil)
 	var lastErr error
 	for try := 0; try < c.o.redials; try++ {
 		if wait := c.backoff(s); wait > 0 {
@@ -486,8 +487,11 @@ func (c *Client) conn(ctx context.Context) (*clientConn, error) {
 			if err != nil {
 				return nil, err
 			}
-			if s.cc != nil && !s.cc.broken() { // another goroutine redialed
-				return s.cc, nil
+			if c.closed.Load() {
+				return nil, ErrClientClosed
+			}
+			if cc := s.cc.Load(); cc != nil && !cc.dead.Load() { // another goroutine redialed
+				return cc, nil
 			}
 		}
 		cc, err := c.dialConn()
@@ -497,7 +501,7 @@ func (c *Client) conn(ctx context.Context) (*clientConn, error) {
 			s.lastFail = time.Now()
 			continue
 		}
-		s.cc = cc
+		s.cc.Store(cc)
 		s.failures = 0
 		return cc, nil
 	}
@@ -539,7 +543,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // do sends req on a pooled connection and waits for its response, gated by
 // the circuit breaker and with the ctx deadline budget propagated on the
 // wire.
-func (c *Client) do(ctx context.Context, req *proto.Request) (*proto.Response, error) {
+func (c *Client) do(ctx context.Context, req *proto.Request) (proto.Response, error) {
 	if c.o.reqTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
@@ -549,38 +553,32 @@ func (c *Client) do(ctx context.Context, req *proto.Request) (*proto.Response, e
 	}
 	if c.br != nil {
 		if err := c.br.allow(); err != nil {
-			return nil, err
+			return proto.Response{}, err
 		}
 	}
-	resp, err := c.doOnce(ctx, req)
+	resp, answered, err := c.doOnce(ctx, req)
 	if c.br != nil {
-		c.br.record(classify(err, resp != nil))
+		c.br.record(classify(err, answered))
 	}
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 // doOnce is one attempt: pick (or redial) a connection, send, wait, and
-// map error statuses to typed errors. A non-nil response alongside a
-// non-nil error means the server answered — the link itself is healthy.
-func (c *Client) doOnce(ctx context.Context, req *proto.Request) (*proto.Response, error) {
+// map error statuses to typed errors. answered alongside a non-nil error
+// means the server answered — the link itself is healthy.
+func (c *Client) doOnce(ctx context.Context, req *proto.Request) (resp proto.Response, answered bool, err error) {
 	cc, err := c.conn(ctx)
 	if err != nil {
-		return nil, err
+		return resp, false, err
 	}
-	resp, err := cc.do(ctx, req)
-	if err != nil {
-		return nil, err
+	if resp, err = cc.do(ctx, req); err != nil {
+		return resp, false, err
 	}
-	if serr, retire := statusErr(resp); serr != nil {
-		if retire {
-			cc.fail(serr)
-		}
-		return resp, serr
+	serr, retire := statusErr(&resp)
+	if retire {
+		cc.fail(serr)
 	}
-	return resp, nil
+	return resp, true, serr
 }
 
 // statusErr maps a response's status to the client's typed error surface;

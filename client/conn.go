@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,12 +21,13 @@ var errServerV1 = errors.New("client: server speaks protocol v1")
 
 // clientConn is one pooled connection. Requests from any number of
 // goroutines interleave on it: each registers a waiter keyed by its request
-// id, appends its frame under the write lock, and blocks on its own channel;
-// the single read loop routes responses by id, so pipelined completions can
-// arrive in any order. Streaming scans register a stream channel instead of
-// a waiter: every OpScanChunk/OpScanEnd carrying the stream's id routes
-// there. When the connection dies every waiter and stream fails with the
-// sticky error and the conn is left for the pool to replace.
+// id, appends its frame to the connection's pending buffer (see send), and
+// blocks on its own channel; the single read loop routes responses by id, so
+// pipelined completions can arrive in any order. Streaming scans register a
+// stream channel instead of a waiter: every OpScanChunk/OpScanEnd carrying
+// the stream's id routes there. When the connection dies every waiter and
+// stream fails with the sticky error and the conn is left for the pool to
+// replace.
 type clientConn struct {
 	nc     net.Conn
 	br     *bufio.Reader // shared by handshake and read loop
@@ -40,18 +42,47 @@ type clientConn struct {
 	// released when the response (or failure) arrives.
 	inflight chan struct{}
 
-	wmu sync.Mutex // serializes frame writes
+	// The outbound path (send). Every frame is encoded into pending under
+	// wmu; the caller that finds no write in flight takes the baton and
+	// writes buffer after buffer until pending is empty.
+	wmu     sync.Mutex
+	pending []byte    // guarded-by: wmu — sealed frames no write has taken yet
+	spare   []byte    // guarded-by: wmu — the idle one of the two buffers
+	pendDL  time.Time // guarded-by: wmu — earliest write deadline among pending's frames, zero for none
+	writing bool      // guarded-by: wmu — a caller holds the baton; never cleared once a write has failed
+	yields  uint64    // guarded-by: wmu — writers that yielded before their first write
+	armedDL time.Time // write deadline armed on nc; only the baton holder touches it
+
+	dead atomic.Bool // set by fail: the pool's lock-free liveness check
 
 	mu      sync.Mutex
-	waiters map[uint64]chan result // guarded-by: mu
+	waiters map[uint64]chan reply  // guarded-by: mu
 	streams map[uint64]chan result // guarded-by: mu — scan streams, keyed by ScanStart id
 	err     error                  // guarded-by: mu — sticky; non-nil once the conn is dead
 }
 
+// reply is what a waiter receives. The response travels by value, so a
+// point operation's answer costs no allocation between the read loop and
+// its caller.
+type reply struct {
+	resp proto.Response
+	err  error
+}
+
+// result is one frame (or the failure) of a scan stream.
 type result struct {
 	resp *proto.Response
 	err  error
 }
+
+// waiterPool recycles waiter channels (capacity 1). A channel goes back only
+// from the caller that owned it, and only once nobody can send on it any
+// more: after it received, or after it deregistered itself.
+var waiterPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
+
+// maxKeptBuf caps the outbound buffers a connection keeps between writes; a
+// larger one (a burst of big batches) is dropped after its write.
+const maxKeptBuf = 64 << 10
 
 // dialConn opens one connection for the client: dial, then — unless the
 // client is pinned to v1 or the address is memoized as v1 — a synchronous
@@ -106,7 +137,7 @@ func dialRaw(addr string, o *options) (*clientConn, error) {
 		br:       bufio.NewReaderSize(nc, 32<<10),
 		ver:      proto.Version1,
 		inflight: make(chan struct{}, o.pipeline),
-		waiters:  make(map[uint64]chan result),
+		waiters:  make(map[uint64]chan reply),
 	}, nil
 }
 
@@ -152,13 +183,6 @@ func (cc *clientConn) handshake(o *options) error {
 	return nil
 }
 
-// broken reports whether the connection has failed and must be replaced.
-func (cc *clientConn) broken() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.err != nil
-}
-
 // fail marks the connection dead, closes the socket, and delivers err to
 // every waiter and stream. Idempotent; the first error wins.
 func (cc *clientConn) fail(err error) {
@@ -168,6 +192,7 @@ func (cc *clientConn) fail(err error) {
 		return
 	}
 	cc.err = err
+	cc.dead.Store(true)
 	waiters := cc.waiters
 	streams := cc.streams
 	cc.waiters = nil
@@ -175,7 +200,7 @@ func (cc *clientConn) fail(err error) {
 	cc.mu.Unlock()
 	cc.nc.Close()
 	for _, ch := range waiters {
-		ch <- result{err: err}
+		ch <- reply{err: err}
 	}
 	for _, ch := range streams {
 		// Stream channels reserve one slot beyond the flow-control window,
@@ -200,6 +225,14 @@ func (cc *clientConn) registerStream(id uint64, ch chan result) error {
 	return nil
 }
 
+// alone reports whether at most one party — a request in flight or a scan
+// stream — is using the connection, the caller being that one (see send).
+func (cc *clientConn) alone() bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.waiters)+len(cc.streams) <= 1
+}
+
 // dropStream deregisters a stream; late frames for it are dropped.
 func (cc *clientConn) dropStream(id uint64) {
 	cc.mu.Lock()
@@ -213,6 +246,7 @@ func (cc *clientConn) dropStream(id uint64) {
 // connection dies, verifying CRC32C trailers when negotiated.
 func (cc *clientConn) readLoop() {
 	var buf []byte
+	var resp proto.Response
 	sealed := cc.feats&proto.FeatCRC != 0
 	for {
 		var body []byte
@@ -233,8 +267,10 @@ func (cc *clientConn) readLoop() {
 			cc.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		resp := new(proto.Response) // escapes to the waiter; no reuse
-		if err := proto.DecodeResponseV(body, resp, cc.ver); err != nil {
+		// Decoded from zero every time: the previous response's slices
+		// belong to whoever received it.
+		resp = proto.Response{}
+		if err := proto.DecodeResponseV(body, &resp, cc.ver); err != nil {
 			cc.fail(fmt.Errorf("client: protocol error: %w", err))
 			return
 		}
@@ -256,8 +292,10 @@ func (cc *clientConn) readLoop() {
 			}
 			cc.mu.Unlock()
 			if ch != nil {
+				frame := new(proto.Response) // a stream queues frames; each needs its own
+				*frame = resp
 				select {
-				case ch <- result{resp: resp}:
+				case ch <- result{resp: frame}:
 				default:
 					// The server pushed past the credit window we granted:
 					// a flow-control violation, not a transient condition.
@@ -280,61 +318,108 @@ func (cc *clientConn) readLoop() {
 			delete(cc.waiters, resp.ID)
 			cc.mu.Unlock()
 			if ch != nil {
-				ch <- result{resp: resp}
+				ch <- reply{resp: resp}
 			}
 			// A response with no waiter is one whose caller timed out; drop it.
 		}
 	}
 }
 
-// encodeFrame frames req, sealing it when FeatCRC is negotiated.
-func (cc *clientConn) encodeFrame(req *proto.Request) ([]byte, error) {
-	frame, err := proto.AppendRequest(nil, req)
+// send is the connection's one outbound path. It encodes req — sealed when
+// FeatCRC is negotiated — straight into the pending buffer under the write
+// lock, so a caller's frames reach the wire in the order it issued them.
+// If a write is in flight the frame rides the writer's next write and send
+// returns at once; otherwise the caller takes the baton and writes pending,
+// and whatever joined it meanwhile, until it finds pending empty under the
+// lock — so no frame ever sits in the buffer without a writer. A writer that
+// is not alone on the connection yields the processor once before its first
+// write: on few CPUs the other callers are runnable rather than running, and
+// only a yield lets their frames join this write (DESIGN.md §12).
+//
+// An error means req could not be encoded and nothing was buffered. Once
+// buffered, a frame may reach the server; a failed or timed-out write fails
+// the connection, which is how the writer and every caller whose frame was
+// in or behind that write learn of it (their waiters and streams receive the
+// error from fail). The write deadline of a group is the earliest deadline
+// among its callers' contexts.
+func (cc *clientConn) send(ctx context.Context, req *proto.Request, alone bool) error {
+	dl, _ := ctx.Deadline()
+	cc.wmu.Lock()
+	start := len(cc.pending)
+	buf, err := proto.AppendRequest(cc.pending, req)
 	if err != nil {
-		return nil, err
-	}
-	if cc.feats&proto.FeatCRC != 0 {
-		frame = proto.SealFrame(frame, 0)
-	}
-	return frame, nil
-}
-
-// writeFrame encodes req — sealing it when FeatCRC is negotiated — and
-// writes it under the write lock, honoring ctx's deadline for the write. A
-// write error fails the whole connection (a partial frame desynchronizes
-// the stream for every user).
-func (cc *clientConn) writeFrame(ctx context.Context, req *proto.Request) error {
-	frame, err := cc.encodeFrame(req)
-	if err != nil {
+		cc.pending = buf[:start]
+		cc.wmu.Unlock()
 		return err
 	}
-	return cc.writeBytes(ctx, frame)
+	if cc.feats&proto.FeatCRC != 0 {
+		buf = proto.SealFrame(buf, start)
+	}
+	cc.pending = buf
+	if !dl.IsZero() && (cc.pendDL.IsZero() || dl.Before(cc.pendDL)) {
+		cc.pendDL = dl
+	}
+	if cc.writing {
+		cc.wmu.Unlock()
+		return nil
+	}
+	cc.writing = true
+	if !alone {
+		cc.yields++
+	}
+	cc.wmu.Unlock()
+	if !alone {
+		runtime.Gosched()
+	}
+	cc.flush()
+	return nil
 }
 
-// writeBytes writes one encoded frame under the write lock.
-func (cc *clientConn) writeBytes(ctx context.Context, frame []byte) error {
+// flush is the baton holder's loop: swap the two buffers, write the full
+// one, repeat until pending is empty under the lock. A write error fails the
+// whole connection (a partial frame desynchronizes the stream for every
+// user) and keeps the baton, so nothing is written after it.
+func (cc *clientConn) flush() {
 	cc.wmu.Lock()
-	if dl, ok := ctx.Deadline(); ok {
-		cc.nc.SetWriteDeadline(dl)
-	} else {
-		cc.nc.SetWriteDeadline(time.Time{})
+	for len(cc.pending) > 0 {
+		buf, dl := cc.pending, cc.pendDL
+		cc.pending, cc.spare, cc.pendDL = cc.spare[:0], nil, time.Time{}
+		cc.wmu.Unlock()
+		if !dl.Equal(cc.armedDL) {
+			cc.nc.SetWriteDeadline(dl)
+			cc.armedDL = dl
+		}
+		if _, err := cc.nc.Write(buf); err != nil {
+			cc.fail(fmt.Errorf("client: write: %w", err))
+			return
+		}
+		cc.wmu.Lock()
+		if cap(buf) <= maxKeptBuf {
+			cc.spare = buf
+		}
 	}
-	_, werr := cc.nc.Write(frame)
+	cc.writing = false
 	cc.wmu.Unlock()
-	if werr != nil {
-		cc.fail(fmt.Errorf("client: write: %w", werr))
-		return fmt.Errorf("client: write: %w", werr)
-	}
-	return nil
+}
+
+// abandon deregisters the waiter of a caller that gave up. It reports
+// whether the waiter was still registered — if not, the read loop or fail
+// has taken it and will send on its channel.
+func (cc *clientConn) abandon(id uint64) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	_, registered := cc.waiters[id]
+	delete(cc.waiters, id)
+	return registered
 }
 
 // do sends req and waits for its response, honoring ctx for the queueing,
 // the write, and the wait.
-func (cc *clientConn) do(ctx context.Context, req *proto.Request) (*proto.Response, error) {
+func (cc *clientConn) do(ctx context.Context, req *proto.Request) (proto.Response, error) {
 	select {
 	case cc.inflight <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return proto.Response{}, ctx.Err()
 	}
 	//dytis:blocking-ok releasing the slot acquired above from a buffered channel never blocks
 	defer func() { <-cc.inflight }()
@@ -355,40 +440,43 @@ func (cc *clientConn) do(ctx context.Context, req *proto.Request) (*proto.Respon
 			req.TimeoutMS = uint32(ms)
 		}
 	}
-	frame, err := cc.encodeFrame(req)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan result, 1)
+	ch := waiterPool.Get().(chan reply)
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
-		return nil, err
+		waiterPool.Put(ch)
+		return proto.Response{}, err
 	}
 	cc.waiters[req.ID] = ch
+	alone := len(cc.waiters)+len(cc.streams) == 1
 	cc.mu.Unlock()
 
-	if werr := cc.writeBytes(ctx, frame); werr != nil {
-		<-ch //dytis:blocking-ok a write error fails the conn, which delivers to every waiter (or a routed response raced it)
-		return nil, werr
+	if err := cc.send(ctx, req, alone); err != nil {
+		if cc.abandon(req.ID) {
+			waiterPool.Put(ch)
+		}
+		return proto.Response{}, err
 	}
 
 	select {
 	case r := <-ch:
+		waiterPool.Put(ch)
 		return r.resp, r.err
 	case <-ctx.Done():
 		// Deregister so the response, if it still comes, is dropped.
-		cc.mu.Lock()
-		if cc.waiters != nil {
-			delete(cc.waiters, req.ID)
+		if cc.abandon(req.ID) {
+			waiterPool.Put(ch)
+			return proto.Response{}, ctx.Err()
 		}
-		cc.mu.Unlock()
 		select {
 		case r := <-ch: // response or failure raced the deregistration
+			waiterPool.Put(ch)
 			return r.resp, r.err
 		default:
+			// The sender has claimed the waiter but not sent yet; the
+			// channel is its to write, so it is not recycled.
 		}
-		return nil, ctx.Err()
+		return proto.Response{}, ctx.Err()
 	}
 }

@@ -192,11 +192,11 @@ func (s *Scanner) begin() {
 		s.record(classify(err, false))
 		return
 	}
-	err = cc.writeFrame(s.ctx, &proto.Request{
+	err = cc.send(s.ctx, &proto.Request{
 		ID: s.id, Op: proto.OpScanStart,
 		Key: s.next, ScanMax: s.max, Epoch: s.epoch,
 		Max: uint32(c.o.scanChunk), Credits: uint32(c.o.scanWindow),
-	})
+	}, cc.alone())
 	if err != nil {
 		cc.dropStream(s.id)
 		s.err = err
@@ -209,10 +209,15 @@ func (s *Scanner) nextStream() bool {
 	for {
 		if s.consumed {
 			// The previous chunk has been fully handed out: grant its
-			// credit back so the server keeps the window full. Best effort —
-			// a write failure surfaces on the channel as the conn fails.
+			// credit back so the server keeps the window full — unless the
+			// scan's budget is already delivered, when the server sends the
+			// end frame right behind the last chunk and would drop the
+			// grant. Best effort: a write failure surfaces on the channel as
+			// the conn fails.
 			s.consumed = false
-			s.cc.writeFrame(s.ctx, &proto.Request{ID: s.id, Op: proto.OpScanCredit, Credits: 1})
+			if s.max == 0 || s.delivered < s.max {
+				s.cc.send(s.ctx, &proto.Request{ID: s.id, Op: proto.OpScanCredit, Credits: 1}, s.cc.alone())
+			}
 		}
 		select {
 		case r := <-s.ch:
@@ -310,8 +315,9 @@ func (s *Scanner) nextFallback() bool {
 // producing (best effort, no deadline: the caller's ctx may already be
 // done, and the cancel frame is fire-and-forget).
 func (s *Scanner) cancelStream() {
+	alone := s.cc.alone()
 	s.cc.dropStream(s.id)
-	s.cc.writeFrame(context.Background(), &proto.Request{ID: s.id, Op: proto.OpScanCancel})
+	s.cc.send(context.Background(), &proto.Request{ID: s.id, Op: proto.OpScanCancel}, alone)
 }
 
 // fail records the scan's terminal error. gotResponse says the server

@@ -136,6 +136,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -479,6 +480,7 @@ func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64
 // instead of emitting a frame the peer must reject.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	lenAt := len(dst)
+	dst = slices.Grow(dst, requestSize(r))
 	dst = appendU32(dst, 0) // frame length, patched below
 	dst = appendU64(dst, r.ID)
 	opb := byte(r.Op)
@@ -602,6 +604,7 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 // retryAfterMillis field before the message.
 func AppendResponseV(dst []byte, r *Response, ver uint8) ([]byte, error) {
 	lenAt := len(dst)
+	dst = slices.Grow(dst, responseSize(r))
 	dst = appendU32(dst, 0)
 	dst = appendU64(dst, r.ID)
 	dst = append(dst, byte(r.Op))
@@ -706,6 +709,42 @@ func AppendResponseV(dst []byte, r *Response, ver uint8) ([]byte, error) {
 		return dst, fmt.Errorf("%w: %d", ErrBadOpcode, uint8(r.Op))
 	}
 	return patchLen(dst, lenAt)
+}
+
+// requestSize bounds r's frame from above — length prefix, deadline and
+// epoch fields and a CRC trailer included — so AppendRequest reserves its
+// room once instead of doubling from nil. An over-limit request is refused
+// by the encoder before it copies anything the bound was sized for.
+func requestSize(r *Request) int {
+	n := headerLen + prefixLen + 4 + 8 + TrailerLen
+	switch r.Op {
+	case OpGetBatch, OpDeleteBatch:
+		return n + 4 + 8*min(len(r.Keys), MaxBatch)
+	case OpInsertBatch, OpImportBatch:
+		return n + 4 + 16*min(len(r.Keys), MaxBatch)
+	}
+	// ScanStart's 24 bytes are the largest fixed payload.
+	return n + 24 + min(len(r.MapBlob), MaxMapBlob) + min(len(r.Addr), MaxAddr)
+}
+
+// responseSize is requestSize for AppendResponseV.
+func responseSize(r *Response) int {
+	n := headerLen + prefixLen + 1 + TrailerLen
+	if r.Status != StatusOK {
+		return n + 4 + 4 + min(len(r.MapBlob), MaxMapBlob) + len(r.Msg)
+	}
+	switch r.Op {
+	case OpScan, OpScanChunk:
+		return n + 4 + 16*min(len(r.Keys), MaxScan)
+	case OpGetBatch:
+		return n + 4 + 9*min(len(r.Vals), MaxBatch)
+	case OpDeleteBatch:
+		return n + 4 + min(len(r.Founds), MaxBatch)
+	case OpHandoverStatus:
+		return n + 1 + 7*8 + min(len(r.Addr), MaxAddr)
+	}
+	// ShardInfo's 25 bytes are the largest other fixed payload.
+	return n + 25 + min(len(r.MapBlob), MaxMapBlob)
 }
 
 // patchLen writes the frame's body length into the 4 bytes at lenAt and

@@ -27,8 +27,9 @@ type conn struct {
 	raddr string // remote address, for force-close logs
 	out   chan []byte
 
-	// Read-loop scratch, reused across requests so the steady state of a
-	// connection allocates only the response frames it sends.
+	// Read-loop scratch, reused across requests; response frames cycle
+	// through the free list below, so the steady state of a connection
+	// allocates nothing per request.
 	readBuf []byte
 	req     proto.Request
 	resp    proto.Response
@@ -63,7 +64,17 @@ type conn struct {
 	acks     chan *mutation // completed mutations, to the write loop; capacity Pipeline
 	mutSlots chan struct{}  // semaphore bounding pending mutations to Pipeline
 	muts     sync.WaitGroup // pending mutations; serve joins it before closing out
+
+	// free returns written frames from the write loop to send, which encodes
+	// the next response into one instead of allocating. Capacity Pipeline,
+	// like out: every frame that can be queued has a place to come back to.
+	free chan []byte
 }
+
+// maxKeptFrame caps the frames the free list keeps: a bigger one (a large
+// scan chunk or batch reply) is left to the collector, so a connection's
+// idle buffers stay within Pipeline × 32 KiB however large its replies were.
+const maxKeptFrame = 32 << 10
 
 // netConn is the subset of net.Conn the conn uses (test seam).
 type netConn interface {
@@ -91,6 +102,7 @@ func (c *conn) armReadDeadline(d time.Duration) {
 func (c *conn) serve() {
 	c.shard = int(connSerial.Add(1))
 	c.out = make(chan []byte, c.srv.cfg.Pipeline)
+	c.free = make(chan []byte, c.srv.cfg.Pipeline)
 	c.ver = proto.Version1
 	c.scanStop = make(chan struct{})
 	if c.srv.committer != nil {
@@ -609,7 +621,7 @@ func batchSize(req *proto.Request) int {
 // backpressure chain). It is called by the read loop and by scan-stream
 // goroutines; each caller passes its own Response.
 func (c *conn) send(resp *proto.Response) bool {
-	frame, ok := c.appendFrame(nil, resp)
+	frame, ok := c.appendFrame(c.takeFrame(), resp)
 	if !ok {
 		return false
 	}
@@ -618,6 +630,17 @@ func (c *conn) send(resp *proto.Response) bool {
 	}
 	c.out <- frame
 	return true
+}
+
+// takeFrame returns an empty frame the write loop is done with, nil when
+// the free list has none.
+func (c *conn) takeFrame() []byte {
+	select {
+	case frame := <-c.free:
+		return frame
+	default:
+		return nil
+	}
 }
 
 // appendFrame appends resp to dst as one frame in the connection's
@@ -648,9 +671,8 @@ func (c *conn) writeLoop(done chan<- struct{}) {
 	defer close(done)
 	wt := c.srv.cfg.WriteTimeout
 	bw := bufio.NewWriterSize(writeDeadlineWriter{c.nc, wt}, 32<<10)
-	var ack []byte // a mutation's ack frame, rebuilt in place
 	for {
-		frame, ok := c.nextFrame(&ack)
+		frame, ok := c.nextFrame()
 		if !ok {
 			break
 		}
@@ -658,6 +680,12 @@ func (c *conn) writeLoop(done chan<- struct{}) {
 			c.nc.Close() // unwedge the read loop too
 			c.drainOut()
 			return
+		}
+		if cap(frame) <= maxKeptFrame {
+			select {
+			case c.free <- frame[:0]:
+			default:
+			}
 		}
 		if len(c.out) == 0 && len(c.acks) == 0 {
 			if err := bw.Flush(); err != nil {
@@ -671,9 +699,9 @@ func (c *conn) writeLoop(done chan<- struct{}) {
 }
 
 // nextFrame waits for the next frame to write: a queued response or, on a
-// committing backend, a completed mutation's ack encoded into *ack. It
-// reports false once the read loop has closed out.
-func (c *conn) nextFrame(ack *[]byte) ([]byte, bool) {
+// committing backend, a completed mutation's ack, encoded here. It reports
+// false once the read loop has closed out.
+func (c *conn) nextFrame() ([]byte, bool) {
 	if c.acks == nil {
 		frame, ok := <-c.out
 		c.queued.Add(-int64(len(frame)))
@@ -684,9 +712,9 @@ func (c *conn) nextFrame(ack *[]byte) ([]byte, bool) {
 		c.queued.Add(-int64(len(frame)))
 		return frame, ok
 	case m := <-c.acks:
-		*ack = c.appendAck((*ack)[:0], m)
+		frame := c.appendAck(c.takeFrame(), m)
 		c.acked(m)
-		return *ack, true
+		return frame, true
 	}
 }
 
