@@ -2,16 +2,19 @@ package client
 
 // Cluster is the routed client for a sharded dytis deployment: it holds the
 // latest shard map it has seen, routes every operation to the owner of its
-// key (splitting batches per shard), scatter-gathers scans across all
-// shards through a k-way merge, and transparently follows StatusWrongShard
-// redirects — including through the brief fail-closed window of a live
-// handover cutover, which it retries with backoff instead of surfacing.
+// key (splitting batches per shard), chains scans shard by shard in key
+// order (shards tile the key space, so no merge is needed), and
+// transparently follows StatusWrongShard redirects — including through the
+// brief fail-closed window of a live handover cutover, which it retries
+// with backoff instead of surfacing.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dytis/internal/cluster"
@@ -91,6 +94,11 @@ type Cluster struct {
 	clients map[string]*Client         // guarded-by: mu — per-address pooled clients
 	health  map[string]*EndpointHealth // guarded-by: mu — per-address failure streaks
 	closed  bool                       // guarded-by: mu
+
+	// sick counts health entries with Fails > 0. It changes only while mu
+	// is write-held, so it is exact; noteResult reads it lock-free to skip
+	// mu entirely for a healthy result when no endpoint is mid-streak.
+	sick atomic.Int32
 }
 
 // DialCluster connects to a sharded deployment: it dials seeds in order
@@ -210,6 +218,9 @@ func (cl *Cluster) client(addr string) (*Client, error) {
 // caller-canceled context says nothing about the endpoint and is neutral.
 func (cl *Cluster) noteResult(addr string, err error) {
 	healthy := err == nil || errors.Is(err, ErrWrongShard) || errors.Is(err, ErrOverload)
+	if healthy && cl.sick.Load() == 0 {
+		return // no streak anywhere to reset
+	}
 	if !healthy && errors.Is(err, context.Canceled) {
 		return
 	}
@@ -227,8 +238,14 @@ func (cl *Cluster) noteResult(addr string, err error) {
 		cl.health[addr] = h
 	}
 	if healthy {
+		if h.Fails > 0 {
+			cl.sick.Add(-1)
+		}
 		h.Fails, h.LastErr = 0, nil
 	} else {
+		if h.Fails == 0 {
+			cl.sick.Add(1)
+		}
 		h.Fails++
 		h.LastErr = err
 	}
@@ -481,38 +498,52 @@ func (cl *Cluster) doSharded(ctx context.Context, keys []uint64, op func(c *Clie
 			redirected []int
 			failErr    error
 		)
+		fail := func(err error) {
+			mu.Lock()
+			if failErr == nil {
+				failErr = err
+			}
+			mu.Unlock()
+		}
+		run := func(c *Client, addr string, idxs []int) {
+			gk := make([]uint64, len(idxs))
+			for j, i := range idxs {
+				gk[j] = keys[i]
+			}
+			err := op(c, idxs, gk)
+			cl.noteResult(addr, err)
+			var ws *WrongShardError
+			switch {
+			case err == nil:
+			case errors.As(err, &ws):
+				cl.adopt(ws.MapBlob)
+				mu.Lock()
+				redirected = append(redirected, idxs...)
+				lastErr = err
+				mu.Unlock()
+			default:
+				fail(err)
+			}
+		}
+		// Every group but the last gets a goroutine; the last runs on the
+		// caller's, which would otherwise only wait.
+		left := len(groups)
 		for addr, idxs := range groups {
 			c, err := cl.client(addr)
 			if err != nil {
 				cl.noteResult(addr, err)
-				return err
+				fail(err)
+				break
+			}
+			if left--; left == 0 {
+				run(c, addr, idxs)
+				break
 			}
 			wg.Add(1)
-			go func(c *Client, addr string, idxs []int) {
+			go func() {
 				defer wg.Done()
-				gk := make([]uint64, len(idxs))
-				for j, i := range idxs {
-					gk[j] = keys[i]
-				}
-				err := op(c, idxs, gk)
-				cl.noteResult(addr, err)
-				var ws *WrongShardError
-				switch {
-				case err == nil:
-				case errors.As(err, &ws):
-					cl.adopt(ws.MapBlob)
-					mu.Lock()
-					redirected = append(redirected, idxs...)
-					lastErr = err
-					mu.Unlock()
-				default:
-					mu.Lock()
-					if failErr == nil {
-						failErr = err
-					}
-					mu.Unlock()
-				}
-			}(c, addr, idxs)
+				run(c, addr, idxs)
+			}()
 		}
 		wg.Wait() //dytis:blocking-ok each group's op runs under the caller's ctx, so the join is bounded by it
 		if failErr != nil {
@@ -588,43 +619,42 @@ func (cl *Cluster) DeleteBatch(ctx context.Context, keys []uint64) ([]bool, erro
 	return found, nil
 }
 
-// ScanStream begins a scatter-gather scan: one pinned Scanner per shard
-// whose range reaches start, merged in ascending key order (max <= 0 scans
-// everything). Every per-shard stream is pinned to the map epoch the scan
-// started under — if a handover cuts a range over mid-scan, the affected
-// stream fails with ErrWrongShard instead of silently truncating, and the
-// whole merge surfaces that error; re-issue the scan to retry against the
-// new map (Scan does this automatically).
+// ScanStream begins a chained scan of up to max pairs with key >= start in
+// ascending key order (max <= 0 scans everything). Shards tile the key
+// space in map order, so it streams from start's owner and opens the next
+// shard only when the current one's range ran out with budget left: one
+// Scanner open at a time, each bounded by the budget still owed, so a scan
+// inside one shard costs that shard one stream and nothing elsewhere.
+//
+// Every per-shard stream is pinned to the map epoch the scan started
+// under: a shard that has moved past it — a handover cut a range over
+// before or during its stream — fails with ErrWrongShard instead of
+// silently serving a moved range, and the chain stops with that error
+// inside a *ScanInterruptedError; re-issue the scan to retry against the
+// new map (Scan does this automatically). A shard that cannot be reached
+// when the chain gets to it fails the same typed way.
 func (cl *Cluster) ScanStream(ctx context.Context, start uint64, max int) *MergeScanner {
 	m, err := cl.snapshot()
 	if err != nil {
 		return failedMergeScanner(err)
 	}
-	var srcs []kvStream
-	for _, s := range m.Shards {
-		if s.Hi < start {
-			continue
-		}
-		c, err := cl.client(s.Addr)
-		if err != nil {
-			for _, src := range srcs {
-				src.Close()
-			}
-			return failedMergeScanner(err)
-		}
-		from := start
-		if s.Lo > from {
-			from = s.Lo
-		}
-		// Per-shard streams are unbounded; the merge applies the global max
-		// and Close releases whatever the early stop left running.
-		srcs = append(srcs, c.ScanStreamAt(ctx, from, 0, m.Epoch))
-	}
 	var budget uint64
 	if max > 0 {
 		budget = uint64(max)
 	}
-	return newMergeScanner(srcs, budget)
+	first := sort.Search(len(m.Shards), func(i int) bool { return m.Shards[i].Hi >= start })
+	return newMergeScanner(first, len(m.Shards), budget, func(i int, budget uint64) (kvStream, error) {
+		s := m.Shards[i]
+		c, err := cl.client(s.Addr)
+		if err != nil {
+			return nil, err
+		}
+		from := s.Lo
+		if i == first {
+			from = start
+		}
+		return c.ScanStreamAt(ctx, from, int(budget), m.Epoch), nil
+	})
 }
 
 // Scan returns up to max pairs with key >= start across the whole cluster

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -51,7 +52,35 @@ func (f *fakeStream) Value() uint64 { return f.val }
 func (f *fakeStream) Err() error    { return f.serr }
 func (f *fakeStream) Close() error  { f.closed++; return nil }
 
-// drain pulls the merge dry, returning the delivered pairs.
+// fakeOpener hands out scripted sources and records every open: which
+// source, in what order, with what budget. A source that honours its
+// budget stops after budget pairs, as a bounded Scanner does.
+type fakeOpener struct {
+	srcs    []*fakeStream
+	openErr map[int]error // open of source i fails with this
+
+	opened  []int
+	budgets []uint64
+}
+
+func (o *fakeOpener) open(i int, budget uint64) (kvStream, error) {
+	o.opened = append(o.opened, i)
+	o.budgets = append(o.budgets, budget)
+	if err := o.openErr[i]; err != nil {
+		return nil, err
+	}
+	s := o.srcs[i]
+	if budget > 0 && uint64(len(s.keys)) > budget {
+		s.keys, s.vals = s.keys[:budget], s.vals[:budget]
+	}
+	return s, nil
+}
+
+func (o *fakeOpener) chain(first int, max uint64) *MergeScanner {
+	return newMergeScanner(first, len(o.srcs), max, o.open)
+}
+
+// drain pulls the chain dry, returning the delivered pairs.
 func drain(t *testing.T, m *MergeScanner) (keys, vals []uint64) {
 	t.Helper()
 	for m.Next() {
@@ -73,14 +102,23 @@ func wantPairs(t *testing.T, keys, vals, wantK, wantV []uint64) {
 	}
 }
 
+func wantInts(t *testing.T, what string, got, want []int) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s = %v, want %v", what, got, want)
+	}
+}
+
 func TestMergeOrdersAcrossSources(t *testing.T) {
-	a := newFakeStream(1, 10, 5, 50, 9, 90)
-	b := newFakeStream(2, 20, 3, 30, 8, 80)
-	c := newFakeStream(4, 40, 6, 60, 7, 70)
-	m := newMergeScanner([]kvStream{a, b, c}, 0)
+	o := &fakeOpener{srcs: []*fakeStream{
+		newFakeStream(1, 10, 2, 20, 3, 30),
+		newFakeStream(4, 40, 5, 50, 6, 60),
+		newFakeStream(7, 70, 8, 80, 9, 90),
+	}}
+	m := o.chain(0, 0)
 	keys, vals := drain(t, m)
 	if err := m.Err(); err != nil {
-		t.Fatalf("merge failed: %v", err)
+		t.Fatalf("chain failed: %v", err)
 	}
 	wantPairs(t, keys, vals,
 		[]uint64{1, 2, 3, 4, 5, 6, 7, 8, 9},
@@ -88,47 +126,125 @@ func TestMergeOrdersAcrossSources(t *testing.T) {
 	if got := m.Total(); got != 9 {
 		t.Fatalf("Total() = %d, want 9", got)
 	}
+	wantInts(t, "opened", o.opened, []int{0, 1, 2})
+	for i, s := range o.srcs {
+		if s.closed != 1 {
+			t.Fatalf("source %d closed %d times after draining, want 1", i, s.closed)
+		}
+	}
 }
 
-func TestMergeDuplicateKeysAcrossSources(t *testing.T) {
-	// Shards own disjoint ranges in production, but the merge must still be
-	// well-defined on overlap: equal keys emit once per source, source order.
-	a := newFakeStream(1, 100, 5, 500)
-	b := newFakeStream(1, 101, 5, 501, 6, 601)
-	m := newMergeScanner([]kvStream{a, b}, 0)
+func TestMergeStartsAtFirstSource(t *testing.T) {
+	// A scan starting in source 1 never opens source 0.
+	o := &fakeOpener{srcs: []*fakeStream{
+		newFakeStream(1, 10),
+		newFakeStream(4, 40),
+		newFakeStream(7, 70),
+	}}
+	m := o.chain(1, 0)
 	keys, vals := drain(t, m)
 	if err := m.Err(); err != nil {
-		t.Fatalf("merge failed: %v", err)
+		t.Fatalf("chain failed: %v", err)
 	}
-	wantPairs(t, keys, vals,
-		[]uint64{1, 1, 5, 5, 6},
-		[]uint64{100, 101, 500, 501, 601})
+	wantPairs(t, keys, vals, []uint64{4, 7}, []uint64{40, 70})
+	wantInts(t, "opened", o.opened, []int{1, 2})
+}
+
+func TestMergeRemainderBudget(t *testing.T) {
+	// Each source is handed what the earlier ones left of the budget.
+	o := &fakeOpener{srcs: []*fakeStream{
+		newFakeStream(1, 10, 2, 20),
+		newFakeStream(3, 30, 4, 40, 5, 50),
+		newFakeStream(6, 60, 7, 70, 8, 80),
+	}}
+	m := o.chain(0, 6)
+	keys, vals := drain(t, m)
+	if err := m.Err(); err != nil {
+		t.Fatalf("chain failed: %v", err)
+	}
+	wantPairs(t, keys, vals, []uint64{1, 2, 3, 4, 5, 6}, []uint64{10, 20, 30, 40, 50, 60})
+	if want := []uint64{6, 4, 1}; !slices.Equal(o.budgets, want) {
+		t.Fatalf("budgets handed out = %v, want %v", o.budgets, want)
+	}
+}
+
+func TestMergeMaxBudget(t *testing.T) {
+	// A budget the first source exhausts never opens the second, and an
+	// unbounded chain hands every source budget 0 (unbounded).
+	o := &fakeOpener{srcs: []*fakeStream{
+		newFakeStream(1, 10, 2, 20, 3, 30, 4, 40),
+		newFakeStream(5, 50),
+	}}
+	m := o.chain(0, 4)
+	keys, vals := drain(t, m)
+	if err := m.Err(); err != nil {
+		t.Fatalf("chain failed: %v", err)
+	}
+	wantPairs(t, keys, vals, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40})
+	if got := m.Total(); got != 4 {
+		t.Fatalf("Total() = %d, want 4", got)
+	}
+	wantInts(t, "opened", o.opened, []int{0})
+
+	u := &fakeOpener{srcs: []*fakeStream{newFakeStream(1, 10), newFakeStream(2, 20)}}
+	drain(t, u.chain(0, 0))
+	if want := []uint64{0, 0}; !slices.Equal(u.budgets, want) {
+		t.Fatalf("unbounded chain handed budgets %v, want %v", u.budgets, want)
+	}
+}
+
+func TestMergeSourceOverrunsBudget(t *testing.T) {
+	// A source that ignores its budget (a lying server) is cut off at the
+	// chain's own count and released by Close.
+	over := newFakeStream(1, 10, 2, 20, 3, 30)
+	m := newMergeScanner(0, 1, 2, func(int, uint64) (kvStream, error) { return over, nil })
+	keys, vals := drain(t, m)
+	wantPairs(t, keys, vals, []uint64{1, 2}, []uint64{10, 20})
+	if err := m.Err(); err != nil {
+		t.Fatalf("Err() = %v", err)
+	}
+	m.Close()
+	if over.closed != 1 {
+		t.Fatalf("overrunning source closed %d times, want 1", over.closed)
+	}
 }
 
 func TestMergeEmptySource(t *testing.T) {
-	a := newFakeStream(2, 20, 4, 40)
-	empty := newFakeStream()
-	b := newFakeStream(1, 10, 3, 30)
-	m := newMergeScanner([]kvStream{a, empty, b}, 0)
+	o := &fakeOpener{srcs: []*fakeStream{
+		newFakeStream(1, 10, 2, 20),
+		newFakeStream(),
+		newFakeStream(),
+		newFakeStream(5, 50, 6, 60),
+	}}
+	m := o.chain(0, 3)
 	keys, vals := drain(t, m)
 	if err := m.Err(); err != nil {
-		t.Fatalf("merge failed: %v", err)
+		t.Fatalf("chain failed: %v", err)
 	}
-	wantPairs(t, keys, vals, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40})
+	wantPairs(t, keys, vals, []uint64{1, 2, 5}, []uint64{10, 20, 50})
+	wantInts(t, "opened", o.opened, []int{0, 1, 2, 3})
+	if want := []uint64{3, 1, 1, 1}; !slices.Equal(o.budgets, want) {
+		t.Fatalf("budgets across empty sources = %v, want %v", o.budgets, want)
+	}
 }
 
 func TestMergeAllSourcesEmpty(t *testing.T) {
-	m := newMergeScanner([]kvStream{newFakeStream(), newFakeStream()}, 0)
+	o := &fakeOpener{srcs: []*fakeStream{newFakeStream(), newFakeStream()}}
+	m := o.chain(0, 0)
 	if m.Next() {
-		t.Fatal("Next() = true on all-empty merge")
+		t.Fatal("Next() = true on all-empty chain")
 	}
 	if err := m.Err(); err != nil {
-		t.Fatalf("Err() = %v on all-empty merge", err)
+		t.Fatalf("Err() = %v on all-empty chain", err)
 	}
+	wantInts(t, "opened", o.opened, []int{0, 1})
 }
 
 func TestMergeNoSources(t *testing.T) {
-	m := newMergeScanner(nil, 0)
+	m := newMergeScanner(0, 0, 0, func(int, uint64) (kvStream, error) {
+		t.Fatal("open called with no sources")
+		return nil, nil
+	})
 	if m.Next() {
 		t.Fatal("Next() = true with no sources")
 	}
@@ -137,61 +253,71 @@ func TestMergeNoSources(t *testing.T) {
 	}
 }
 
+// wantInterrupted requires err to be a typed interruption by source.
+func wantInterrupted(t *testing.T, err, cause error, source int) {
+	t.Helper()
+	if !errors.Is(err, ErrScanInterrupted) || !errors.Is(err, cause) {
+		t.Fatalf("Err() = %v, want ErrScanInterrupted wrapping %v", err, cause)
+	}
+	var se *ScanInterruptedError
+	if !errors.As(err, &se) || se.Source != source {
+		t.Fatalf("Err() = %v, want *ScanInterruptedError with Source %d", err, source)
+	}
+}
+
 func TestMergeSourceErrorSurfaces(t *testing.T) {
-	// One source dies mid-stream: the merge must stop with that error, not
-	// quietly deliver the surviving sources' pairs as a complete result.
+	// A source dies mid-stream: the chain stops with that error, typed,
+	// and never goes on to deliver later sources as a complete result.
 	boom := errors.New("shard died")
-	a := newFakeStream(1, 10, 4, 40, 7, 70)
-	b := newFakeStream(2, 20, 5, 50, 8, 80)
-	b.failAfter, b.err = 1, boom
-	m := newMergeScanner([]kvStream{a, b}, 0)
-	keys, _ := drain(t, m)
-	if err := m.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() = %v, want %v", err, boom)
-	}
-	// Pairs delivered before the failure stay valid, but nothing after the
-	// failing source's last good key may have been emitted as "complete".
-	for _, k := range keys {
-		if k > 2 {
-			t.Fatalf("pair %d delivered after source failure point", k)
-		}
-	}
+	o := &fakeOpener{srcs: []*fakeStream{
+		newFakeStream(1, 10, 2, 20),
+		newFakeStream(3, 30, 4, 40, 5, 50),
+		newFakeStream(6, 60),
+	}}
+	o.srcs[1].failAfter, o.srcs[1].err = 1, boom
+	m := o.chain(0, 0)
+	keys, vals := drain(t, m)
+	wantPairs(t, keys, vals, []uint64{1, 2, 3}, []uint64{10, 20, 30})
+	wantInterrupted(t, m.Err(), boom, 1)
+	wantInts(t, "opened", o.opened, []int{0, 1})
 	if m.Next() {
 		t.Fatal("Next() = true after source error")
 	}
 }
 
 func TestMergeSourceErrorOnFirstPull(t *testing.T) {
+	// A Scanner whose begin fails (dead pooled connection) reports it on
+	// its first pull.
 	boom := errors.New("dead on arrival")
-	a := newFakeStream(1, 10)
-	b := newFakeStream(2, 20)
-	b.failAfter, b.err = 0, boom
-	m := newMergeScanner([]kvStream{a, b}, 0)
+	o := &fakeOpener{srcs: []*fakeStream{newFakeStream(1, 10), newFakeStream(2, 20)}}
+	o.srcs[0].failAfter, o.srcs[0].err = 0, boom
+	m := o.chain(0, 0)
 	if m.Next() {
-		t.Fatal("Next() = true when a source fails priming")
+		t.Fatal("Next() = true when the first source fails priming")
 	}
-	if err := m.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() = %v, want %v", err, boom)
-	}
+	wantInterrupted(t, m.Err(), boom, 0)
 }
 
-func TestMergeMaxBudget(t *testing.T) {
-	a := newFakeStream(1, 10, 3, 30, 5, 50)
-	b := newFakeStream(2, 20, 4, 40, 6, 60)
-	m := newMergeScanner([]kvStream{a, b}, 4)
+func TestMergeOpenErrorTyped(t *testing.T) {
+	// Opening the next source fails (its shard cannot be dialed): the pairs
+	// before stay delivered and the failure comes back typed, naming it.
+	boom := errors.New("connection refused")
+	o := &fakeOpener{
+		srcs:    []*fakeStream{newFakeStream(1, 10), newFakeStream(2, 20), newFakeStream(3, 30)},
+		openErr: map[int]error{2: boom},
+	}
+	m := o.chain(0, 0)
 	keys, vals := drain(t, m)
-	if err := m.Err(); err != nil {
-		t.Fatalf("merge failed: %v", err)
-	}
-	wantPairs(t, keys, vals, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40})
-	if got := m.Total(); got != 4 {
-		t.Fatalf("Total() = %d, want 4", got)
+	wantPairs(t, keys, vals, []uint64{1, 2}, []uint64{10, 20})
+	wantInterrupted(t, m.Err(), boom, 2)
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close() = %v", err)
 	}
 }
 
-func TestMergeCloseClosesAllSources(t *testing.T) {
-	a, b := newFakeStream(1, 10), newFakeStream(2, 20)
-	m := newMergeScanner([]kvStream{a, b}, 0)
+func TestMergeCloseClosesOpenSource(t *testing.T) {
+	o := &fakeOpener{srcs: []*fakeStream{newFakeStream(1, 10, 2, 20), newFakeStream(3, 30)}}
+	m := o.chain(0, 0)
 	m.Next()
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close() = %v", err)
@@ -199,19 +325,24 @@ func TestMergeCloseClosesAllSources(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("second Close() = %v", err)
 	}
-	if a.closed != 1 || b.closed != 1 {
-		t.Fatalf("sources closed (%d, %d) times, want exactly once each", a.closed, b.closed)
+	if o.srcs[0].closed != 1 {
+		t.Fatalf("open source closed %d times, want exactly once", o.srcs[0].closed)
 	}
+	if o.srcs[1].closed != 0 {
+		t.Fatalf("never-opened source closed %d times", o.srcs[1].closed)
+	}
+	wantInts(t, "opened", o.opened, []int{0})
 	if m.Next() {
 		t.Fatal("Next() = true after Close")
 	}
+	wantInts(t, "opened after Close", o.opened, []int{0})
 }
 
 func TestFailedMergeScanner(t *testing.T) {
 	boom := errors.New("setup failed")
 	m := failedMergeScanner(boom)
 	if m.Next() {
-		t.Fatal("Next() = true on failed merge")
+		t.Fatal("Next() = true on failed chain")
 	}
 	if err := m.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v, want %v", err, boom)

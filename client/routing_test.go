@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -104,6 +105,65 @@ func TestEndpointHealthStreaks(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("healthyFirst = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestEndpointSickCountExact checks the count behind noteResult's lock-free
+// fast path: it tracks the endpoints mid-streak exactly, so a streak ended
+// by a success is seen (Health reports Fails == 0) and the count returns
+// to 0 — serially and with every endpoint's results racing.
+func TestEndpointSickCountExact(t *testing.T) {
+	cl := &Cluster{
+		clients: make(map[string]*Client),
+		health:  make(map[string]*EndpointHealth),
+	}
+	boom := errors.New("dial tcp: connection refused")
+	wantSick := func(n int32) {
+		t.Helper()
+		if got := cl.sick.Load(); got != n {
+			t.Fatalf("sick = %d, want %d", got, n)
+		}
+	}
+
+	cl.noteResult("a", boom)
+	cl.noteResult("a", boom)
+	cl.noteResult("a", boom)
+	wantSick(1)
+	cl.noteResult("b", boom)
+	wantSick(2)
+	cl.noteResult("b", nil) // the fast path must not swallow this reset
+	cl.noteResult("b", nil)
+	wantSick(1)
+	cl.noteResult("a", &WrongShardError{Msg: "moved"})
+	wantSick(0)
+	for _, h := range cl.Health() {
+		if h.Fails != 0 {
+			t.Fatalf("%s after its streak ended: %+v", h.Addr, h)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		addr := string(rune('c' + g))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if i%3 == 0 {
+					cl.noteResult(addr, boom)
+				} else {
+					cl.noteResult(addr, nil)
+				}
+			}
+			cl.noteResult(addr, nil)
+		}()
+	}
+	wg.Wait()
+	wantSick(0)
+	for _, h := range cl.Health() {
+		if h.Fails != 0 {
+			t.Fatalf("%s after its streak ended: %+v", h.Addr, h)
 		}
 	}
 }

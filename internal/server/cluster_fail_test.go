@@ -1,7 +1,7 @@
 package server_test
 
 // Failure-path cluster tests that need no fault injector: a shard dying
-// mid-scatter-gather scan, and a tripped per-endpoint circuit breaker
+// under a chained scan, and a tripped per-endpoint circuit breaker
 // staying isolated from routing to healthy shards.
 
 import (
@@ -13,8 +13,8 @@ import (
 	"dytis/client"
 )
 
-// TestClusterScanShardDeath kills one shard while a scatter-gather
-// ScanStream is mid-merge: the merge must stop promptly with a typed
+// TestClusterScanShardDeath kills one shard while a chained ScanStream is
+// partway through the cluster: the scan must stop promptly with a typed
 // ErrScanInterrupted, never run to completion as a silently truncated
 // "success".
 func TestClusterScanShardDeath(t *testing.T) {
@@ -43,8 +43,9 @@ func TestClusterScanShardDeath(t *testing.T) {
 
 	s := cl.ScanStream(ctx, 0, 0)
 	defer s.Close()
-	// Pull a few pairs so every per-shard stream is live, then kill the
-	// middle shard under the merge.
+	// Pull a few pairs so the chain's stream on shard 0 is live, then kill
+	// the middle shard ahead of it — one the router holds a pooled (now
+	// dead) connection to, so the chain fails when it opens it.
 	for i := 0; i < 10; i++ {
 		if !s.Next() {
 			t.Fatalf("merge died after %d pairs before the kill: %v", i, s.Err())
