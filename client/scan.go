@@ -40,8 +40,8 @@ func (c *Client) ScanStream(ctx context.Context, start uint64, max int) *Scanner
 // chunk request carries epoch on the wire, and a shard server whose map has
 // moved past it fails the scan with ErrWrongShard instead of silently
 // truncating at the new shard boundary. epoch 0 means unpinned (the
-// single-server behavior). Cluster's scatter-gather scan uses this; direct
-// callers rarely need it.
+// single-server behavior). Cluster's chained scan opens each shard's leg
+// with it; direct callers rarely need it.
 func (c *Client) ScanStreamAt(ctx context.Context, start uint64, max int, epoch uint64) *Scanner {
 	s := &Scanner{c: c, ctx: ctx, next: start, epoch: epoch}
 	if max > 0 {

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,6 +74,119 @@ func TestBatchMatchesSingleOps(t *testing.T) {
 	if vs := check.Check(db); len(vs) != 0 {
 		t.Fatalf("batched index unsound: %v", vs)
 	}
+}
+
+// eventCounter counts structure events by kind; in Concurrent mode they fire
+// from many writers at once.
+type eventCounter struct {
+	byKind [core.EvShrink + 1]atomic.Int64
+}
+
+func (o *eventCounter) RecordOp(core.Op, int, time.Duration) {}
+func (o *eventCounter) StructureEvent(ev core.StructureEvent) {
+	if int(ev.Kind) < len(o.byKind) {
+		o.byKind[ev.Kind].Add(1)
+	}
+}
+
+// TestGetBatchDuringMaintenance runs 64-key GetBatches over keys whose
+// presence never changes while two writers churn interleaved keys through
+// splits, remaps, expansions and directory doublings. The writers' in-place
+// inserts and deletes shift the readers' keys inside their buckets, so a
+// probe that kept a slot across a shift without re-checking its segment
+// version would return a neighbour's value. Every answer must match; under
+// the race detector the same batches take the locked fallback.
+func TestGetBatchDuringMaintenance(t *testing.T) {
+	obs := &eventCounter{}
+	d := core.New(core.Options{
+		FirstLevelBits: 2, BucketEntries: 16, StartDepth: 2, BaseSegBuckets: 4,
+		Concurrent: true, Observer: obs,
+	})
+	// Stable keys have bit 0 clear: present ones hold val(k), absent ones
+	// are never inserted. Writers only touch keys with bit 0 set.
+	val := func(k uint64) uint64 { return k*3 + 7 }
+	rng := rand.New(rand.NewSource(27))
+	var present, probes []uint64
+	isPresent := map[uint64]bool{}
+	for i := 0; i < 20000; i++ {
+		k := rng.Uint64() &^ 1
+		if i%4 == 3 {
+			probes = append(probes, k) // absent
+			continue
+		}
+		d.Insert(k, val(k))
+		isPresent[k] = true
+		present = append(present, k)
+		probes = append(probes, k)
+	}
+
+	const writers, readers, perWriter = 2, 2, 60000
+	var stop atomic.Bool
+	var wg, rg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 100))
+			var mine []uint64
+			for i := 0; i < perWriter && !t.Failed(); i++ {
+				var k uint64
+				switch i % 3 {
+				case 0: // uniform: expansions and splits
+					k = rng.Uint64() | 1
+				default: // dense run beside a stable key: skew, remaps, shifts
+					k = present[rng.Intn(len(present))] + uint64(rng.Intn(64))<<1 | 1
+				}
+				d.Insert(k, k)
+				mine = append(mine, k)
+				if i%4 == 3 {
+					j := rng.Intn(len(mine))
+					d.Delete(mine[j])
+					mine[j] = mine[len(mine)-1]
+					mine = mine[:len(mine)-1]
+				}
+			}
+		}(w)
+	}
+	var batches atomic.Int64
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			rng := rand.New(rand.NewSource(int64(r) + 200))
+			batch := make([]uint64, 64)
+			var vals []uint64
+			var found []bool
+			for !stop.Load() {
+				for i := range batch {
+					batch[i] = probes[rng.Intn(len(probes))]
+				}
+				vals, found = d.GetBatch(batch, vals[:0], found[:0])
+				for i, k := range batch {
+					if want := isPresent[k]; found[i] != want || (want && vals[i] != val(k)) {
+						t.Errorf("reader %d: GetBatch[%d] (%#x) = %d,%v; want %d,%v", r, i, k, vals[i], found[i], val(k), want)
+						return
+					}
+				}
+				batches.Add(1)
+			}
+		}(r)
+	}
+	wg.Wait()
+	stop.Store(true)
+	rg.Wait()
+	if t.Failed() {
+		return
+	}
+	for kind := core.EvSplit; kind <= core.EvDouble; kind++ {
+		if obs.byKind[kind].Load() == 0 {
+			t.Errorf("no %v event: the writers did not exercise every maintenance path", kind)
+		}
+	}
+	t.Logf("%d batches; events: split %d remap %d expand %d double %d", batches.Load(),
+		obs.byKind[core.EvSplit].Load(), obs.byKind[core.EvRemap].Load(),
+		obs.byKind[core.EvExpand].Load(), obs.byKind[core.EvDouble].Load())
+	requireSound(t, d)
 }
 
 func TestBatchEdgeCases(t *testing.T) {

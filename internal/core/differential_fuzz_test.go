@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -20,8 +21,12 @@ import (
 // held there, and check.Check needs to take them itself.
 //
 // Input format: a stream of 10-byte records — 1 op byte, 8 key bytes
-// (big-endian), 1 value byte. op%5 selects insert / delete / get / scan /
-// bulk-load; trailing partial records are ignored.
+// (big-endian), 1 value byte. op%6 selects insert / delete / get / scan /
+// bulk-load / GetBatch; trailing partial records are ignored. A GetBatch op
+// probes the keys around its key and, through the probe-stage hook, inserts
+// or deletes that key between two of the batch's probe stages, inside every
+// probed key's seqlock window. Every op that fired structure events is also
+// followed by a GetBatch sweep over the whole oracle.
 
 const (
 	diffRecordLen = 10
@@ -122,7 +127,7 @@ func runDifferential(t *testing.T, data []byte, conc bool) {
 	oracle := map[uint64]uint64{}
 	var seenEvents int64
 	for op := 0; len(data) >= diffRecordLen && op < diffMaxOps; op++ {
-		kind := data[0] % 5
+		kind := data[0] % 6
 		key := binary.BigEndian.Uint64(data[1:9])
 		val := uint64(data[9])
 		data = data[diffRecordLen:]
@@ -164,6 +169,31 @@ func runDifferential(t *testing.T, data []byte, conc bool) {
 			for i, k := range ks {
 				oracle[k] = vs[i]
 			}
+		case 5: // GetBatch with a mutation of key inside the probe
+			batch := batchAround(oracle, key, 24)
+			stage := int(val/2)%6 + 1
+			mutated := false
+			mutate := func() {
+				mutated = true
+				if val&1 == 0 {
+					d.Insert(key, uint64(val))
+					oracle[key] = uint64(val)
+				} else {
+					d.Delete(key)
+					delete(oracle, key)
+				}
+			}
+			core.SetProbeHook(d, func(st int) {
+				if st == stage && !mutated {
+					mutate()
+				}
+			})
+			vals, found := d.GetBatch(batch, nil, nil)
+			core.SetProbeHook(d, nil)
+			if !mutated {
+				mutate()
+			}
+			checkBatch(t, oracle, batch, vals, found, mode, op)
 		}
 
 		if checker != nil {
@@ -173,7 +203,10 @@ func runDifferential(t *testing.T, data []byte, conc bool) {
 				}
 				t.FailNow()
 			}
-			seenEvents = checker.events
+			if checker.events != seenEvents {
+				seenEvents = checker.events
+				sweepBatch(t, d, oracle, mode, op)
+			}
 		} else if counter.events != seenEvents {
 			seenEvents = counter.events
 			if vs := check.Check(d); len(vs) != 0 {
@@ -182,6 +215,7 @@ func runDifferential(t *testing.T, data []byte, conc bool) {
 				}
 				t.FailNow()
 			}
+			sweepBatch(t, d, oracle, mode, op)
 		}
 	}
 
@@ -208,6 +242,55 @@ func runDifferential(t *testing.T, data []byte, conc bool) {
 	}
 }
 
+// batchAround returns up to w oracle keys above key, then up to w below it,
+// each followed by its successor when that is absent, leaving key itself
+// out: the caller mutates key during the batch, so every answer is fixed.
+// The keys just above key come first, in the group the mutation lands in:
+// they are the ones an insert or delete of key shifts inside their bucket.
+func batchAround(oracle map[uint64]uint64, key uint64, w int) []uint64 {
+	ks, _ := oracleScan(oracle, 0, len(oracle))
+	at := sort.Search(len(ks), func(i int) bool { return ks[i] >= key })
+	var batch []uint64
+	near := slices.Concat(ks[at:min(at+w, len(ks))], ks[max(at-w, 0):at])
+	for _, k := range near {
+		if k == key {
+			continue
+		}
+		batch = append(batch, k)
+		if _, ok := oracle[k+1]; !ok && k+1 != key {
+			batch = append(batch, k+1)
+		}
+	}
+	return batch
+}
+
+// sweepBatch checks GetBatch over every oracle key and its absent successor.
+func sweepBatch(t *testing.T, d *core.DyTIS, oracle map[uint64]uint64, mode string, op int) {
+	t.Helper()
+	var batch []uint64
+	for k := range oracle {
+		batch = append(batch, k)
+		if _, ok := oracle[k+1]; !ok {
+			batch = append(batch, k+1)
+		}
+	}
+	vals, found := d.GetBatch(batch, nil, nil)
+	checkBatch(t, oracle, batch, vals, found, mode, op)
+}
+
+func checkBatch(t *testing.T, oracle map[uint64]uint64, batch, vals []uint64, found []bool, mode string, op int) {
+	t.Helper()
+	if len(vals) != len(batch) || len(found) != len(batch) {
+		t.Fatalf("[%s] op %d: GetBatch of %d keys returned %d values, %d flags", mode, op, len(batch), len(vals), len(found))
+	}
+	for i, k := range batch {
+		wv, wok := oracle[k]
+		if found[i] != wok || (wok && vals[i] != wv) {
+			t.Fatalf("[%s] op %d: GetBatch[%d] (%#x) = %d,%v, oracle %d,%v", mode, op, i, k, vals[i], found[i], wv, wok)
+		}
+	}
+}
+
 func FuzzDifferential(f *testing.F) {
 	rec := func(op byte, key uint64, val byte) []byte {
 		b := make([]byte, diffRecordLen)
@@ -225,6 +308,17 @@ func FuzzDifferential(f *testing.F) {
 	mixed = append(mixed, rec(4, 1<<40, 63)...)
 	f.Add(mixed)
 	f.Add(append(append(rec(0, 0, 1), rec(0, ^uint64(0), 2)...), rec(3, 0, 9)...))
+	// Even keys, then batches that insert or delete an odd key after each
+	// probe stage: after stage 5 an insert shifts the probed slots.
+	var staged []byte
+	for i := uint64(0); i < 40; i++ {
+		staged = append(staged, rec(0, 2*i, byte(i+1))...)
+	}
+	for st := byte(0); st < 6; st++ {
+		staged = append(staged, rec(5, 21+4*uint64(st), 2*st)...)
+		staged = append(staged, rec(5, 20+4*uint64(st), 2*st+1)...)
+	}
+	f.Add(staged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDifferential(t, data, false)

@@ -22,6 +22,11 @@ type DyTIS struct {
 	obsBatch   BatchObserver // obs's batched hook, nil if not implemented
 	ehs        []*eh
 	closed     atomic.Bool // set by Close
+
+	// probeHook, when set, runs after each of GetBatch's first six probe
+	// stages. It is a test seam for mutating the index inside the probe's
+	// seqlock window, and nil otherwise.
+	probeHook func(stage int)
 }
 
 // New creates an empty DyTIS index.

@@ -878,7 +878,7 @@ func (s *segment) lowerBound(k uint64) (int, int) {
 		return s.firstNonEmpty(), 0
 	}
 	ks := s.bucketKeys(c)
-	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
+	i := bucketLowerBound(ks, k, s.fk[c], nextFK(s.fk, c))
 	if i < len(ks) {
 		return c, i
 	}

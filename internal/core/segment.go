@@ -256,7 +256,8 @@ func (s *segment) util() float64 {
 //
 // The search is seeded by the remapping function's prediction and then
 // corrected by walking over the (globally sorted) bucket sequence, the
-// last-mile search step shared with learned indexes.
+// last-mile search step shared with learned indexes; inside the bucket,
+// bucketLowerBound seeds again from the bucket's own key bounds.
 //
 //dytis:locked s.mu r
 func (s *segment) findSlot(k uint64) (bi, pos int, exists, full bool) {
@@ -280,7 +281,7 @@ func (s *segment) findSlot(k uint64) (bi, pos int, exists, full bool) {
 		}
 	}
 	ks := s.bucketKeys(c)
-	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
+	i := bucketLowerBound(ks, k, s.fk[c], nextFK(s.fk, c))
 	if i < len(ks) && ks[i] == k {
 		return c, i, true, false
 	}
@@ -392,14 +393,102 @@ func (s *segment) get(k uint64) (uint64, bool) {
 	return s.vals[bi*s.bcap+pos], true
 }
 
-// lookupIn runs the predict→candidate→binary-search point probe against one
+// nextFK returns the exclusive upper bound of bucket c's keys: the next
+// bucket's cached first key, or fkSentinel past the last bucket.
+func nextFK(fk []uint64, c int) uint64 {
+	if c+1 < len(fk) {
+		return fk[c+1]
+	}
+	return fkSentinel
+}
+
+// bucketLowerBound returns the first index i in [0, len(ks)] with
+// ks[i] >= k, the in-bucket search of every point probe. [lo, hi) are the
+// bucket's key bounds (fk[c] and nextFK), and the remapping model spreads a
+// bucket's keys near-uniformly across them, so linear interpolation seeds a
+// position that is usually within a slot or two of the answer; a gallop out
+// from the seed then brackets it and a binary search finishes, bounding the
+// worst case at about 2·log2(len(ks)) probes.
+//
+// It is total on any input — the lock-free probe can hand it torn bounds
+// (k >= hi, lo >= hi) and a mid-shift, unsorted ks — so k is clamped into
+// [lo, hi) before the division (which then cannot overflow) and every index
+// stays in [0, len(ks)]. On sorted ks the result is exact whatever lo and
+// hi are: the bounds only choose where the search starts.
+func bucketLowerBound(ks []uint64, k, lo, hi uint64) int {
+	n := len(ks)
+	if n == 0 {
+		return 0
+	}
+	p := 0
+	switch {
+	case hi <= lo || k <= lo:
+	case k >= hi:
+		p = n - 1
+	default:
+		// (k-lo)*n/(hi-lo) < n because k-lo < hi-lo.
+		h, l := bits.Mul64(k-lo, uint64(n))
+		q, _ := bits.Div64(h, l, hi-lo)
+		p = int(q)
+	}
+	var a, b int // the answer lies in [a, b]
+	if ks[p] < k {
+		a, b = p+1, n
+		for step := 1; p+step < n; step <<= 1 {
+			if ks[p+step] >= k {
+				b = p + step
+				break
+			}
+			a = p + step + 1
+		}
+	} else {
+		a, b = 0, p
+		for step := 1; p-step >= 0; step <<= 1 {
+			if ks[p-step] < k {
+				a = p - step + 1
+				break
+			}
+			b = p - step
+		}
+	}
+	for a < b {
+		m := int(uint(a+b) >> 1)
+		if ks[m] < k {
+			a = m + 1
+		} else {
+			b = m
+		}
+	}
+	return a
+}
+
+// slotIn returns the index into l.keys/l.vals of k within bucket c of the
+// published layout l, or -1 when the bucket does not hold k. The racy
+// occupancy read is clamped to bcap, so the slice stays in bounds whatever
+// the probe raced.
+//
+//dytis:seqlocked
+func (s *segment) slotIn(l *layout, c int, k uint64) int {
+	n := int(l.sz[c])
+	if n > s.bcap {
+		n = s.bcap
+	}
+	off := c * s.bcap
+	ks := l.keys[off : off+n]
+	if i := bucketLowerBound(ks, k, l.fk[c], nextFK(l.fk, c)); i < n && ks[i] == k {
+		return off + i
+	}
+	return -1
+}
+
+// lookupIn runs the predict→candidate→in-bucket point probe against one
 // published layout without holding the segment lock. Buckets are globally
 // sorted and fk is right-filled, so a key can only live in the candidate
 // bucket; no gap handling is needed. Any interleaving with writers still
 // yields bounded indexes — headers within one layout are mutually consistent
-// and the racy occupancy read is clamped to bcap — so the probe cannot
-// fault; the caller validates the seqlock version afterward and discards the
-// result on conflict.
+// and slotIn clamps the racy occupancy read — so the probe cannot fault; the
+// caller validates the seqlock version afterward and discards the result on
+// conflict. DyTIS.GetBatch runs the same stages over a group of keys.
 //
 //dytis:seqlocked
 func (s *segment) lookupIn(l *layout, k uint64) (uint64, bool) {
@@ -408,15 +497,8 @@ func (s *segment) lookupIn(l *layout, k uint64) (uint64, bool) {
 	if c < 0 {
 		return 0, false
 	}
-	n := int(l.sz[c])
-	if n > s.bcap {
-		n = s.bcap
-	}
-	off := c * s.bcap
-	ks := l.keys[off : off+n]
-	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
-	if i < len(ks) && ks[i] == k {
-		return l.vals[off+i], true
+	if j := s.slotIn(l, c, k); j >= 0 {
+		return l.vals[j], true
 	}
 	return 0, false
 }

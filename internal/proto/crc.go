@@ -21,7 +21,6 @@ package proto
 // leaves open is discussed in DESIGN.md §9.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -62,20 +61,28 @@ func SealFrame(dst []byte, start int) []byte {
 //
 //dytis:blocks
 func ReadTrailer(r io.Reader, n int, body []byte) error {
-	var tr [TrailerLen]byte
-	if _, err := io.ReadFull(r, tr[:]); err != nil {
+	got, err := readU32(r)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return err
 	}
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	want := crc32.Update(crc32.Checksum(hdr[:], castagnoli), castagnoli, body)
-	if got := binary.BigEndian.Uint32(tr[:]); got != want {
+	if want := crc32.Update(crcOfLen(uint32(n)), castagnoli, body); got != want {
 		return fmt.Errorf("%w: trailer %08x, computed %08x over %d-byte body", ErrChecksum, got, want, n)
 	}
 	return nil
+}
+
+// crcOfLen is CRC32C over a frame's 4-byte big-endian length prefix, run
+// byte by byte over the table: handing crc32 a 4-byte array would move the
+// array to the heap on every frame.
+func crcOfLen(n uint32) uint32 {
+	crc := ^uint32(0)
+	for shift := 24; shift >= 0; shift -= 8 {
+		crc = castagnoli[byte(crc)^byte(n>>shift)] ^ crc>>8
+	}
+	return ^crc
 }
 
 // ReadFrameCRC reads one sealed frame from r into buf (grown as needed),

@@ -132,6 +132,7 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -1251,11 +1252,11 @@ func growBools(s []bool, n int) []bool {
 //
 //dytis:blocks
 func ReadHeader(r io.Reader) (int, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	u, err := readU32(r)
+	if err != nil {
 		return 0, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(u)
 	if n > maxBody {
 		return 0, fmt.Errorf("%w: body of %d", ErrFrameTooLarge, n)
 	}
@@ -1263,6 +1264,32 @@ func ReadHeader(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("%w: body of %d bytes", ErrTruncated, n)
 	}
 	return n, nil
+}
+
+// readU32 reads one big-endian 4-byte word (a length prefix or a trailer)
+// with io.ReadFull's errors: io.EOF before its first byte,
+// io.ErrUnexpectedEOF inside it. A *bufio.Reader — what the server and
+// client read loops hold — is peeked and advanced in place, so the read
+// allocates nothing; any other reader needs a scratch array, which escapes
+// through the io.Reader call.
+func readU32(r io.Reader) (uint32, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		p, err := br.Peek(4)
+		if err != nil {
+			if err == io.EOF && len(p) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		v := binary.BigEndian.Uint32(p)
+		_, _ = br.Discard(4) // cannot fail: Peek just buffered these 4 bytes
+		return v, nil
+	}
+	var b [4]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b[:]), nil
 }
 
 // ReadBody reads an n-byte frame body (n from ReadHeader) into buf, grown

@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -306,5 +308,76 @@ func TestSealFrameMidBuffer(t *testing.T) {
 		if req.ID != uint64(i) || req.Key != uint64(i)*7 {
 			t.Fatalf("frame %d: got %+v", i, req)
 		}
+	}
+}
+
+// loopReader serves the same bytes over and over.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
+}
+
+// TestSealedFrameReadAllocs pins the read loops' per-frame cost: reading a
+// sealed frame's header, body and trailer from the *bufio.Reader both sides
+// hold allocates nothing, on the server's split path and the client's
+// ReadFrameCRC alike.
+func TestSealedFrameReadAllocs(t *testing.T) {
+	frame, err := AppendRequest(nil, &Request{ID: 9, Op: OpGet, Key: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReaderSize(&loopReader{b: SealFrame(frame, 0)}, 32<<10)
+	buf := make([]byte, 0, 64)
+	split := func() {
+		n, err := ReadHeader(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := ReadBody(br, n, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ReadTrailer(br, n, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := func() {
+		if _, _, err := ReadFrameCRC(br, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(1000, split); a != 0 {
+		t.Errorf("ReadHeader+ReadBody+ReadTrailer: %v allocs per frame, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, whole); a != 0 {
+		t.Errorf("ReadFrameCRC: %v allocs per frame, want 0", a)
+	}
+	// The table-driven length CRC agrees with hash/crc32.
+	for _, n := range []uint32{0, 1, 13, 1 << 20, ^uint32(0)} {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], n)
+		if got, want := crcOfLen(n), CRC32C(hdr[:]); got != want {
+			t.Errorf("crcOfLen(%d) = %08x, want %08x", n, got, want)
+		}
+	}
+}
+
+// TestReadHeaderBufioEOF: the peeking read keeps io.ReadFull's errors — a
+// clean EOF between frames, an unexpected EOF inside a header or trailer.
+func TestReadHeaderBufioEOF(t *testing.T) {
+	if _, err := ReadHeader(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+	if _, err := ReadHeader(bufio.NewReader(bytes.NewReader([]byte{0, 0}))); err != io.ErrUnexpectedEOF {
+		t.Fatalf("half a header: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := ReadTrailer(bufio.NewReader(bytes.NewReader(nil)), 0, nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("missing trailer: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
