@@ -165,11 +165,11 @@ func (c *Client) Mirror(ctx context.Context, del bool, key, val uint64) error {
 // drive admin opcodes use it to fail fast with a better message than the
 // server's quarantine.
 func (c *Client) RequireCluster(ctx context.Context) error {
-	ver, feats, err := c.Protocol(ctx)
+	_, feats, err := c.Protocol(ctx)
 	if err != nil {
 		return err
 	}
-	if ver < proto.Version2 || feats&proto.FeatCluster == 0 {
+	if feats&proto.FeatCluster == 0 {
 		return errors.New("client: server did not grant the cluster feature (not started with -shard?)")
 	}
 	return nil

@@ -13,6 +13,10 @@
 // calls (GetBatch/InsertBatch/DeleteBatch), which amortize both framing and
 // the server's per-op dispatch.
 //
+// Every connection opens with the protocol v2 handshake: a server that does
+// not grant checksums and streamed scans fails the dial, and every frame
+// after the handshake carries a CRC32C trailer in both directions.
+//
 // Error semantics: an operation fails with the server's error for rejected
 // requests, with ctx.Err() on timeout/cancellation, and with a connection
 // error when the link dies mid-flight (e.g. the server restarts). The
@@ -46,7 +50,9 @@
 //	defer c.Close()
 //	err = c.Insert(ctx, 42, 1)
 //	v, ok, err := c.Get(ctx, 42)
-//	keys, vals, err := c.Scan(ctx, 0, 100)
+//	s := c.ScanStream(ctx, 0, 100) // first 100 pairs, streamed
+//	defer s.Close()
+//	for s.Next() { use(s.Key(), s.Value()) }
 package client
 
 import (
@@ -71,11 +77,6 @@ import (
 // (match with errors.Is).
 var ErrClientClosed = errors.New("client: closed")
 
-// ErrClosed is a deprecated alias for ErrClientClosed.
-//
-// Deprecated: use ErrClientClosed.
-var ErrClosed = ErrClientClosed
-
 // ErrOverload matches (via errors.Is) the error of an operation the server
 // shed under admission control; errors.As with *OverloadError recovers the
 // retry-after hint.
@@ -88,10 +89,10 @@ var ErrOverload = errors.New("client: server overloaded")
 var ErrCircuitOpen = errors.New("client: circuit breaker open")
 
 // ErrFrameCorrupt matches (via errors.Is) operations that failed because a
-// frame flunked CRC32C verification with protocol v2 negotiated — either a
-// server frame the client caught, or a client frame the server answered
-// with StatusChecksum. The connection is retired in both cases: a stream
-// that has carried corruption cannot be trusted to stay aligned.
+// frame flunked CRC32C verification — either a server frame the client
+// caught, or a client frame the server answered with StatusChecksum. The
+// connection is retired in both cases: a stream that has carried corruption
+// cannot be trusted to stay aligned.
 var ErrFrameCorrupt = errors.New("client: frame failed checksum verification")
 
 // OverloadError is the typed error of a request shed by the server.
@@ -122,8 +123,7 @@ var ErrWrongShard = errors.New("client: wrong shard")
 // server.
 type WrongShardError struct {
 	// MapBlob is the server's current encoded shard map (cluster.DecodeMap
-	// parses it). Empty when the server has none installed or the
-	// connection speaks protocol v1, which cannot carry it.
+	// parses it). Empty when the server has none installed.
 	MapBlob []byte
 	// Msg is the server's diagnostic.
 	Msg string
@@ -155,10 +155,8 @@ type options struct {
 	breakTrips  int           // consecutive failures that open the breaker; 0 = disabled
 	breakCool   time.Duration // open-state cooldown before a half-open probe
 	dialer      Dialer
-	forceV1     bool // never attempt the v2 handshake
-	requireV2   bool // fail the dial unless v2 with checksums is negotiated
-	scanChunk   int  // streaming-scan per-chunk pair bound (and fallback page size)
-	scanWindow  int  // streaming-scan credit window
+	scanChunk   int // streaming-scan per-chunk pair bound
+	scanWindow  int // streaming-scan credit window
 }
 
 func defaultOptions() options {
@@ -260,29 +258,11 @@ func WithDialer(d Dialer) Option {
 	}
 }
 
-// WithV1Protocol pins the client to protocol v1: no HELLO handshake is ever
-// sent, so the wire traffic is byte-identical to a pre-v2 client. Use it
-// against servers that predate the handshake, or to rule the upgrade path
-// out when debugging.
-func WithV1Protocol() Option {
-	return func(o *options) { o.forceV1 = true }
-}
-
-// WithRequireV2 refuses to operate below protocol v2 with checksums: a dial
-// (or redial) whose handshake does not negotiate FeatCRC fails instead of
-// falling back to plain v1. Without it the client upgrades opportunistically
-// — which keeps old servers working but means an attacker (or a fault) that
-// can corrupt the HELLO exchange can hold the session at v1. Set this when
-// the link is untrusted enough that silent downgrade matters.
-func WithRequireV2() Option {
-	return func(o *options) { o.requireV2 = true }
-}
-
 // WithScanStream tunes streaming scans: chunk is the per-chunk pair bound
-// (default 1024, capped at proto.MaxScan) and doubles as the page size of
-// the v1 pagination fallback; window is the credit window — how many chunks
-// the server may run ahead of consumption (default 8, capped at
-// proto.MaxScanCredits). Bigger values trade client memory for throughput.
+// (default 1024, capped at proto.MaxScan); window is the credit window —
+// how many chunks the server may run ahead of consumption (default 8,
+// capped at proto.MaxScanCredits). Bigger values trade client memory for
+// throughput.
 func WithScanStream(chunk, window int) Option {
 	return func(o *options) {
 		if chunk > 0 {
@@ -300,12 +280,6 @@ type Client struct {
 	addr string
 	o    options
 	br   *breaker // nil when the breaker is disabled
-
-	// serverV1 memoizes an explicit v1 refusal (StatusBadRequest to HELLO)
-	// so later dials to the same address skip the doomed probe. Only that
-	// explicit signal sets it — an ambiguous handshake failure falls back
-	// for one connection but probes again on the next dial.
-	serverV1 atomic.Bool
 
 	slots  []*slot // fixed at Dial; slots have their own locks
 	rr     atomic.Uint64
@@ -408,9 +382,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, apply := range opts {
 		apply(&o)
 	}
-	if o.forceV1 && o.requireV2 {
-		return nil, errors.New("client: WithV1Protocol and WithRequireV2 conflict")
-	}
 	c := &Client{addr: addr, o: o, slots: make([]*slot, o.poolSize)}
 	if o.breakTrips > 0 {
 		c.br = &breaker{trips: o.breakTrips, cooldown: o.breakCool}
@@ -426,15 +397,15 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Protocol returns the negotiated protocol version and feature bits of a
-// live pooled connection (proto.Version1 with no features when the server
-// predates the handshake or the client is pinned with WithV1Protocol).
+// Protocol returns the protocol version and the feature bits the server
+// granted a live pooled connection. The version is always proto.Version2,
+// the only one the client speaks.
 func (c *Client) Protocol(ctx context.Context) (version uint8, features uint32, err error) {
 	cc, err := c.conn(ctx)
 	if err != nil {
 		return 0, 0, err
 	}
-	return cc.ver, cc.feats, nil
+	return proto.Version2, cc.feats, nil
 }
 
 // Close shuts the client down: all pooled connections close, their

@@ -158,14 +158,15 @@ func TestInFlightErrorPropagation(t *testing.T) {
 				return
 			}
 			go func(nc net.Conn) {
-				buf := make([]byte, 64)
-				nc.Read(buf) // swallow the request...
-				nc.Close()   // ...and hang up without answering
+				if br, ok := acceptHello(nc, v2Grant); ok {
+					readRequest(br) // swallow the request...
+				}
+				nc.Close() // ...and hang up without answering
 			}(nc)
 		}
 	}()
 
-	c, err := client.Dial(ln.Addr().String(), client.WithPoolSize(1), client.WithV1Protocol())
+	c, err := client.Dial(ln.Addr().String(), client.WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +195,11 @@ func TestContextTimeout(t *testing.T) {
 				return
 			}
 			defer nc.Close() // hold the conn open, never respond
+			acceptHello(nc, v2Grant)
 		}
 	}()
 
-	c, err := client.Dial(ln.Addr().String(), client.WithPoolSize(1), client.WithV1Protocol())
+	c, err := client.Dial(ln.Addr().String(), client.WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,7 @@ type Cluster struct {
 
 // DialCluster connects to a sharded deployment: it dials seeds in order
 // until one provides a shard map, then routes by it. opts configure every
-// per-shard Client the router opens (WithV1Protocol is rejected: routing
-// needs the v2 cluster feature).
+// per-shard Client the router opens.
 func DialCluster(seeds []string, opts ...Option) (*Cluster, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("client: DialCluster needs at least one seed address")
@@ -112,9 +111,6 @@ func DialCluster(seeds []string, opts ...Option) (*Cluster, error) {
 	o := defaultOptions()
 	for _, apply := range opts {
 		apply(&o)
-	}
-	if o.forceV1 {
-		return nil, errors.New("client: WithV1Protocol conflicts with cluster routing (FeatCluster is v2)")
 	}
 	cl := &Cluster{
 		opts:    opts,

@@ -14,11 +14,6 @@ import (
 	"dytis/internal/proto"
 )
 
-// errServerV1 marks a handshake the server explicitly refused (an old server
-// answering the unknown OpHello with StatusBadRequest): the address speaks
-// plain v1, which the Client memoizes so later dials skip the probe.
-var errServerV1 = errors.New("client: server speaks protocol v1")
-
 // clientConn is one pooled connection. Requests from any number of
 // goroutines interleave on it: each registers a waiter keyed by its request
 // id, appends its frame to the connection's pending buffer (see send), and
@@ -33,9 +28,8 @@ type clientConn struct {
 	br     *bufio.Reader // shared by handshake and read loop
 	nextID atomic.Uint64
 
-	// Negotiated protocol state, written by the handshake before the read
-	// loop starts (plain v1 when no handshake ran).
-	ver   uint8
+	// feats are the features the handshake granted, written before the read
+	// loop starts.
 	feats uint32
 
 	// inflight bounds pipelining: a slot is taken before writing and
@@ -84,67 +78,39 @@ var waiterPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
 // larger one (a burst of big batches) is dropped after its write.
 const maxKeptBuf = 64 << 10
 
-// dialConn opens one connection for the client: dial, then — unless the
-// client is pinned to v1 or the address is memoized as v1 — a synchronous
-// HELLO exchange before the read loop starts. A server that explicitly
-// refuses the handshake (StatusBadRequest from a pre-v2 build) sets the memo
-// and the connection is redialed speaking plain v1; any more ambiguous
-// handshake failure falls back to plain v1 for this connection only. With
-// WithRequireV2 there is no fallback: a failed negotiation fails the dial.
+// dialConn opens one connection for the client: dial, then the HELLO
+// exchange, synchronously, before the read loop starts.
 func (c *Client) dialConn() (*clientConn, error) {
 	o := &c.o
-	tryV2 := !o.forceV1 && (o.requireV2 || !c.serverV1.Load())
-	cc, err := dialRaw(c.addr, o)
-	if err != nil {
-		return nil, err
-	}
-	if tryV2 {
-		if herr := cc.handshake(o); herr != nil {
-			cc.nc.Close()
-			if o.requireV2 {
-				return nil, herr
-			}
-			if errors.Is(herr, errServerV1) {
-				c.serverV1.Store(true)
-			}
-			if cc, err = dialRaw(c.addr, o); err != nil {
-				return nil, err
-			}
-		} else if o.requireV2 && (cc.ver < proto.Version2 || cc.feats&proto.FeatCRC == 0) {
-			cc.nc.Close()
-			return nil, fmt.Errorf("client: server did not grant protocol v2 with checksums (version %d, features %#x)", cc.ver, cc.feats)
-		}
-	}
-	go cc.readLoop()
-	return cc, nil
-}
-
-// dialRaw opens the transport and builds an un-negotiated (v1) conn without
-// starting its read loop.
-func dialRaw(addr string, o *options) (*clientConn, error) {
 	dial := o.dialer
 	if dial == nil {
 		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	nc, err := dial(addr, o.dialTimeout)
+	nc, err := dial(c.addr, o.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &clientConn{
+	cc := &clientConn{
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 32<<10),
-		ver:      proto.Version1,
 		inflight: make(chan struct{}, o.pipeline),
 		waiters:  make(map[uint64]chan reply),
-	}, nil
+	}
+	if err := cc.handshake(o.dialTimeout); err != nil {
+		nc.Close()
+		return nil, err
+	}
+	go cc.readLoop()
+	return cc, nil
 }
 
-// handshake runs the HELLO exchange synchronously on the freshly dialed
-// connection (the read loop is not running yet). Both directions travel as
-// plain v1 frames; the negotiated state applies from the next frame on.
-func (cc *clientConn) handshake(o *options) error {
+// handshake runs the HELLO exchange on the freshly dialed connection (the
+// read loop is not running yet). Both frames travel unsealed; every later
+// frame, in both directions, is sealed. A refusal, or a grant short of
+// protocol v2 with checksums and streamed scans, fails the dial.
+func (cc *clientConn) handshake(timeout time.Duration) error {
 	cc.nextID.Store(1) // HELLO consumes id 1
 	frame, err := proto.AppendRequest(nil, &proto.Request{
 		ID: 1, Op: proto.OpHello, Ver: proto.MaxVersion, Feats: proto.AllFeatures,
@@ -152,8 +118,8 @@ func (cc *clientConn) handshake(o *options) error {
 	if err != nil {
 		return err
 	}
-	if o.dialTimeout > 0 {
-		cc.nc.SetDeadline(time.Now().Add(o.dialTimeout))
+	if timeout > 0 {
+		cc.nc.SetDeadline(time.Now().Add(timeout))
 		defer cc.nc.SetDeadline(time.Time{})
 	}
 	if _, err := cc.nc.Write(frame); err != nil {
@@ -170,16 +136,14 @@ func (cc *clientConn) handshake(o *options) error {
 	if resp.ID != 1 {
 		return fmt.Errorf("client: hello answered with id %d", resp.ID)
 	}
-	if resp.Status == proto.StatusBadRequest {
-		return errServerV1
-	}
 	if resp.Status != proto.StatusOK || resp.Op != proto.OpHello {
 		return fmt.Errorf("client: hello refused: op %v status %d: %s", resp.Op, resp.Status, resp.Msg)
 	}
-	if resp.Ver >= proto.Version2 {
-		cc.ver = proto.Version2
-		cc.feats = resp.Feats & proto.AllFeatures
+	const need = proto.FeatCRC | proto.FeatScanStream
+	if resp.Ver < proto.Version2 || resp.Feats&need != need {
+		return fmt.Errorf("client: server did not grant protocol v2 with checksums and streamed scans (version %d, features %#x)", resp.Ver, resp.Feats)
 	}
+	cc.feats = resp.Feats & proto.AllFeatures
 	return nil
 }
 
@@ -243,19 +207,13 @@ func (cc *clientConn) dropStream(id uint64) {
 }
 
 // readLoop routes response frames to waiters and streams until the
-// connection dies, verifying CRC32C trailers when negotiated.
+// connection dies, verifying every frame's CRC32C trailer.
 func (cc *clientConn) readLoop() {
 	var buf []byte
 	var resp proto.Response
-	sealed := cc.feats&proto.FeatCRC != 0
 	for {
-		var body []byte
-		var err error
-		if sealed {
-			body, buf, err = proto.ReadFrameCRC(cc.br, buf)
-		} else {
-			body, buf, err = proto.ReadFrame(cc.br, buf)
-		}
+		body, nbuf, err := proto.ReadFrameCRC(cc.br, buf)
+		buf = nbuf
 		if err != nil {
 			if errors.Is(err, proto.ErrChecksum) {
 				// The server's frame arrived corrupt. The stream can no
@@ -270,7 +228,7 @@ func (cc *clientConn) readLoop() {
 		// Decoded from zero every time: the previous response's slices
 		// belong to whoever received it.
 		resp = proto.Response{}
-		if err := proto.DecodeResponseV(body, &resp, cc.ver); err != nil {
+		if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
 			cc.fail(fmt.Errorf("client: protocol error: %w", err))
 			return
 		}
@@ -325,9 +283,9 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// send is the connection's one outbound path. It encodes req — sealed when
-// FeatCRC is negotiated — straight into the pending buffer under the write
-// lock, so a caller's frames reach the wire in the order it issued them.
+// send is the connection's one outbound path. It encodes and seals req
+// straight into the pending buffer under the write lock, so a caller's
+// frames reach the wire in the order it issued them.
 // If a write is in flight the frame rides the writer's next write and send
 // returns at once; otherwise the caller takes the baton and writes pending,
 // and whatever joined it meanwhile, until it finds pending empty under the
@@ -352,10 +310,7 @@ func (cc *clientConn) send(ctx context.Context, req *proto.Request, alone bool) 
 		cc.wmu.Unlock()
 		return err
 	}
-	if cc.feats&proto.FeatCRC != 0 {
-		buf = proto.SealFrame(buf, start)
-	}
-	cc.pending = buf
+	cc.pending = proto.SealFrame(buf, start)
 	if !dl.IsZero() && (cc.pendDL.IsZero() || dl.Before(cc.pendDL)) {
 		cc.pendDL = dl
 	}

@@ -159,7 +159,7 @@ func serveIndex(t *testing.T, n uint64) string {
 
 func dialTapped(t *testing.T, addr string, d *tapDialer, opts ...Option) *Client {
 	t.Helper()
-	opts = append([]Option{WithPoolSize(1), WithDialer(d.dial), WithRequireV2()}, opts...)
+	opts = append([]Option{WithPoolSize(1), WithDialer(d.dial)}, opts...)
 	c, err := Dial(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -340,13 +340,13 @@ func TestScanBoundedWritesOneFrame(t *testing.T) {
 	}
 }
 
-// sharedWrite sets up the shape every shared-write failure has. The fake
-// server speaks plain v1, so there is no HELLO: on the first connection,
-// write 1 carries the leader's frame alone and is held while followers park
-// their frames behind it; write 2 — the followers' group, written by the
-// leader — is held while more callers park behind that, and then ends as
-// fate decides. The server swallows the first connection's requests and
-// answers on later ones, counting what it is asked.
+// sharedWrite sets up the shape every shared-write failure has. On the first
+// connection, write 1 is the HELLO; write 2 carries the leader's frame alone
+// and is held while followers park their frames behind it; write 3 — the
+// followers' group, written by the leader — is held while more callers park
+// behind that, and then ends as fate decides. The server swallows the first
+// connection's requests and answers on later ones, counting what it is
+// asked.
 type sharedWrite struct {
 	c          *Client
 	cc         *clientConn
@@ -383,21 +383,21 @@ func newSharedWrite(t *testing.T, fate func(deadline time.Time, closed <-chan st
 				defer wg.Done()
 				defer nc.Close()
 				br := bufio.NewReader(nc)
-				for {
-					body, _, err := proto.ReadFrame(br, nil)
-					if err != nil {
-						return
-					}
+				for hello := true; ; hello = false {
 					var req proto.Request
-					if proto.DecodeRequest(body, &req) != nil {
+					if !readFakeRequest(br, hello, &req) {
 						return
 					}
-					if first {
+					resp := proto.Response{ID: req.ID, Op: req.Op, Found: true, Val: req.Key}
+					switch {
+					case hello:
+						resp = proto.Response{ID: req.ID, Op: proto.OpHello, Ver: proto.Version2, Feats: proto.FeatCRC | proto.FeatScanStream}
+					case first:
 						continue
+					default:
+						sw.answered.Add(1)
 					}
-					sw.answered.Add(1)
-					frame, _ := proto.AppendResponse(nil, &proto.Response{ID: req.ID, Op: req.Op, Found: true, Val: req.Key})
-					nc.Write(frame)
+					nc.Write(fakeFrame(&resp, !hello))
 				}
 			}()
 		}
@@ -411,14 +411,14 @@ func newSharedWrite(t *testing.T, fate func(deadline time.Time, closed <-chan st
 		}
 		tc := d.conn(0)
 		switch n {
-		case 1:
+		case 2:
 			close(sw.inLeader)
 			select {
 			case <-sw.holdLeader:
 			case <-tc.closed:
 				return net.ErrClosed
 			}
-		case 2:
+		case 3:
 			close(sw.inGroup)
 			select {
 			case <-sw.holdGroup:
@@ -429,7 +429,7 @@ func newSharedWrite(t *testing.T, fate func(deadline time.Time, closed <-chan st
 		}
 		return nil
 	}
-	c, err := Dial(ln.Addr().String(), WithPoolSize(1), WithV1Protocol(), WithDialer(d.dial),
+	c, err := Dial(ln.Addr().String(), WithPoolSize(1), WithDialer(d.dial),
 		WithReconnect(2, time.Millisecond, 2*time.Millisecond), WithCircuitBreaker(0, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -437,6 +437,28 @@ func newSharedWrite(t *testing.T, fate func(deadline time.Time, closed <-chan st
 	t.Cleanup(func() { c.Close() })
 	sw.c, sw.cc = c, c.slots[0].cc.Load()
 	return sw
+}
+
+// readFakeRequest reads one request frame for a fake server: the unsealed
+// HELLO when hello is set, a sealed frame otherwise. It reports false when
+// the client left or sent garbage.
+func readFakeRequest(br *bufio.Reader, hello bool, req *proto.Request) bool {
+	read := proto.ReadFrameCRC
+	if hello {
+		read = proto.ReadFrame
+	}
+	body, _, err := read(br, nil)
+	return err == nil && proto.DecodeRequest(body, req) == nil && (req.Op == proto.OpHello) == hello
+}
+
+// fakeFrame encodes a fake server's response, sealed unless it answers the
+// HELLO.
+func fakeFrame(resp *proto.Response, sealed bool) []byte {
+	frame, _ := proto.AppendResponseV(nil, resp, proto.Version2)
+	if sealed {
+		frame = proto.SealFrame(frame, 0)
+	}
+	return frame
 }
 
 // parked waits until n frames of size each sit in the pending buffer.
@@ -479,7 +501,7 @@ func getFrameLen(t *testing.T, ctx context.Context) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(frame)
+	return len(frame) + proto.TrailerLen
 }
 
 // collect requires n errors promptly, each satisfying ok.
@@ -643,4 +665,72 @@ func TestYieldingWriterNotStarved(t *testing.T) {
 	if cc.yieldCount() == 0 {
 		t.Fatal("no writer yielded; the test exercised nothing")
 	}
+}
+
+// TestNoUnsealedFrameAfterHello: every frame the client writes after the
+// HELLO is sealed — against a server under a mix of point ops, batches and
+// scans, and against a server that refuses the handshake, where the dial
+// fails instead of going on over an unsealed wire.
+func TestNoUnsealedFrameAfterHello(t *testing.T) {
+	t.Run("served", func(t *testing.T) {
+		d := &tapDialer{}
+		c := dialTapped(t, serveIndex(t, 1024), d, WithScanStream(16, 2))
+		ctx := context.Background()
+		if err := c.Insert(ctx, 1<<40, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Get(ctx, 7); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DeleteBatch(ctx, []uint64{1 << 40, 3}); err != nil {
+			t.Fatal(err)
+		}
+		s := c.ScanStream(ctx, 0, 0)
+		for i := 0; i < 100 && s.Next(); i++ { // credits, then a cancel
+		}
+		s.Close()
+		c.Close()
+		reqs := d.conn(0).requests(t) // fails on any frame after the first that is not sealed
+		if len(reqs) < 5 || reqs[0].Op != proto.OpHello {
+			t.Fatalf("frames on the wire: %+v", reqs)
+		}
+		for _, req := range reqs[1:] {
+			if req.Op == proto.OpHello {
+				t.Fatalf("a second HELLO on the wire: %+v", reqs)
+			}
+		}
+	})
+	t.Run("refused", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				var req proto.Request
+				if readFakeRequest(bufio.NewReader(nc), true, &req) {
+					nc.Write(fakeFrame(&proto.Response{ID: req.ID, Op: proto.OpPing, Status: proto.StatusBadRequest, Msg: "unknown opcode"}, false))
+				}
+				nc.Close()
+			}
+		}()
+		d := &tapDialer{}
+		if c, err := Dial(ln.Addr().String(), WithPoolSize(1), WithDialer(d.dial)); err == nil {
+			c.Close()
+			t.Fatal("Dial succeeded against a server that refused the handshake")
+		}
+		d.mu.Lock()
+		conns := d.conns
+		d.mu.Unlock()
+		for i, tc := range conns {
+			if reqs := tc.requests(t); len(reqs) != 1 || reqs[0].Op != proto.OpHello {
+				t.Fatalf("connection %d carried %+v after a refused handshake, want the HELLO alone", i, reqs)
+			}
+		}
+	})
 }

@@ -22,7 +22,8 @@ import (
 // client, hang a caller, or route a response to the wrong waiter.
 
 // fakeServer accepts connections on a loopback listener and hands each to
-// script, which speaks raw proto frames. Stop with close().
+// script, which speaks raw proto frames (acceptHello answers the handshake).
+// Stop with close().
 type fakeServer struct {
 	ln net.Listener
 	wg sync.WaitGroup
@@ -62,10 +63,36 @@ func (fs *fakeServer) close() {
 	fs.wg.Wait()
 }
 
-// readRequest decodes one request frame from br, failing the conn silently
-// on error (the client closed it).
-func readRequest(br *bufio.Reader) (*proto.Request, error) {
+// v2Grant is what a server grants a client asking for every feature.
+const v2Grant = proto.FeatCRC | proto.FeatScanStream
+
+// acceptHello reads the connection's unsealed HELLO and answers it with a
+// protocol v2 grant of feats, as a server does. It returns the reader the
+// rest of the conversation continues on, or false when the client left.
+func acceptHello(nc net.Conn, feats uint32) (*bufio.Reader, bool) {
+	br := bufio.NewReader(nc)
 	body, _, err := proto.ReadFrame(br, nil)
+	if err != nil {
+		return nil, false
+	}
+	var req proto.Request
+	if proto.DecodeRequest(body, &req) != nil || req.Op != proto.OpHello {
+		return nil, false
+	}
+	frame, err := proto.AppendResponse(nil, &proto.Response{
+		ID: req.ID, Op: proto.OpHello, Ver: proto.Version2, Feats: feats,
+	})
+	if err != nil {
+		return nil, false
+	}
+	_, err = nc.Write(frame)
+	return br, err == nil
+}
+
+// readRequest decodes one sealed request frame from br, failing the conn
+// silently on error (the client closed it).
+func readRequest(br *bufio.Reader) (*proto.Request, error) {
+	body, _, err := proto.ReadFrameCRC(br, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -82,11 +109,11 @@ func okResponse(t *testing.T, req *proto.Request) []byte {
 	if req.Op == proto.OpGet {
 		resp.Val, resp.Found = req.Key, true // echo: the key IS the value
 	}
-	frame, err := proto.AppendResponse(nil, resp)
+	frame, err := proto.AppendResponseV(nil, resp, proto.Version2)
 	if err != nil {
 		t.Errorf("encode response: %v", err)
 	}
-	return frame
+	return proto.SealFrame(frame, 0)
 }
 
 // hostileOpts makes redials immediate so the test exercises quarantine +
@@ -94,7 +121,6 @@ func okResponse(t *testing.T, req *proto.Request) []byte {
 func hostileOpts() []client.Option {
 	return []client.Option{
 		client.WithPoolSize(1),
-		client.WithV1Protocol(), // fake servers speak raw v1, no handshake
 		client.WithReconnect(2, time.Millisecond, 2*time.Millisecond),
 		client.WithCircuitBreaker(0, 0),
 	}
@@ -107,8 +133,8 @@ func hostileOpts() []client.Option {
 func TestHostileTruncatedResponse(t *testing.T) {
 	var lied sync.Once
 	fs := newFakeServer(t, func(nc net.Conn) {
-		br := bufio.NewReader(nc)
-		for {
+		br, ok := acceptHello(nc, v2Grant)
+		for ok {
 			req, err := readRequest(br)
 			if err != nil {
 				return
@@ -119,7 +145,9 @@ func TestHostileTruncatedResponse(t *testing.T) {
 				nc.Write(okResponse(t, req))
 				continue
 			}
-			// A healthy header for a 64-byte body, then only 10 bytes.
+			// A sealed honest frame whose header is rewritten to promise a
+			// 64-byte body, then only 10 bytes of it: the read fails on the
+			// short body, before any trailer could be checked.
 			frame := okResponse(t, req)
 			frame[0], frame[1], frame[2], frame[3] = 0, 0, 0, 64
 			nc.Write(frame[:4+10])
@@ -152,8 +180,8 @@ func TestHostileTruncatedResponse(t *testing.T) {
 func TestHostileOversizeLengthPrefix(t *testing.T) {
 	var lied sync.Once
 	fs := newFakeServer(t, func(nc net.Conn) {
-		br := bufio.NewReader(nc)
-		for {
+		br, ok := acceptHello(nc, v2Grant)
+		for ok {
 			req, err := readRequest(br)
 			if err != nil {
 				return
@@ -197,8 +225,8 @@ func TestHostileFrameNoMisroute(t *testing.T) {
 	var count int
 	var mu sync.Mutex
 	fs := newFakeServer(t, func(nc net.Conn) {
-		br := bufio.NewReader(nc)
-		for {
+		br, ok := acceptHello(nc, v2Grant)
+		for ok {
 			req, err := readRequest(br)
 			if err != nil {
 				return
@@ -220,7 +248,6 @@ func TestHostileFrameNoMisroute(t *testing.T) {
 
 	c, err := client.Dial(fs.addr(),
 		client.WithPoolSize(1),
-		client.WithV1Protocol(),
 		client.WithPipeline(workers),
 		client.WithReconnect(4, time.Millisecond, 2*time.Millisecond),
 		client.WithCircuitBreaker(0, 0))
@@ -251,6 +278,22 @@ func TestHostileFrameNoMisroute(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHostileGrantWithoutCRC: a server that grants streamed scans but not
+// checksums would leave every later frame unverified. The dial fails instead
+// of running unsealed.
+func TestHostileGrantWithoutCRC(t *testing.T) {
+	fs := newFakeServer(t, func(nc net.Conn) {
+		if br, ok := acceptHello(nc, proto.FeatScanStream); ok {
+			io.Copy(io.Discard, br)
+		}
+	})
+	c, err := client.Dial(fs.addr(), client.WithPoolSize(1))
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a grant without FeatCRC")
+	}
+}
+
 // TestClientClosedTyped: after Close, every entry point fails with an error
 // matching ErrClientClosed — including an operation already in flight when
 // Close runs.
@@ -258,9 +301,11 @@ func TestClientClosedTyped(t *testing.T) {
 	// A server that reads requests but never answers: the in-flight op can
 	// only end through Close.
 	fs := newFakeServer(t, func(nc net.Conn) {
-		io.Copy(io.Discard, nc)
+		if br, ok := acceptHello(nc, v2Grant); ok {
+			io.Copy(io.Discard, br)
+		}
 	})
-	c, err := client.Dial(fs.addr(), client.WithPoolSize(1), client.WithV1Protocol())
+	c, err := client.Dial(fs.addr(), client.WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,15 @@ import (
 //	}
 //	if err := s.Err(); err != nil { ... }
 //
-// With protocol v2 negotiated the pairs arrive as a credit-flow-controlled
-// chunk stream: the server never materializes (or queues) more than the
-// credit window, so an arbitrarily large scan runs in bounded memory on
-// both sides and interleaves with the connection's other pipelined traffic.
-// Against a v1 server (or with WithV1Protocol) the iterator transparently
-// falls back to paginated OpScan requests with the same per-page bound —
-// same results, one round trip per page. Tune the chunk size and window
-// with WithScanStream.
+// The pairs arrive as a credit-flow-controlled chunk stream: the server
+// never materializes (or queues) more than the credit window, so an
+// arbitrarily large scan runs in bounded memory on both sides and
+// interleaves with the connection's other pipelined traffic. Tune the chunk
+// size and window with WithScanStream.
 //
 // The Scanner is not safe for concurrent use (one goroutine pulls it), and
-// a streamed scan is pinned to one pooled connection: if that connection
-// dies mid-stream, Err reports it and the pairs already pulled remain valid
+// a scan is pinned to one pooled connection: if that connection dies
+// mid-stream, Err reports it and the pairs already pulled remain valid
 // — re-issue from Key()+1 to resume. Close is idempotent and releases the
 // stream early; it must be called (directly or via defer) unless Next has
 // returned false.
@@ -36,14 +33,14 @@ func (c *Client) ScanStream(ctx context.Context, start uint64, max int) *Scanner
 	return c.ScanStreamAt(ctx, start, max, 0)
 }
 
-// ScanStreamAt is ScanStream pinned to a shard-map epoch: every page or
-// chunk request carries epoch on the wire, and a shard server whose map has
+// ScanStreamAt is ScanStream pinned to a shard-map epoch: the stream's start
+// request carries epoch on the wire, and a shard server whose map has
 // moved past it fails the scan with ErrWrongShard instead of silently
 // truncating at the new shard boundary. epoch 0 means unpinned (the
 // single-server behavior). Cluster's chained scan opens each shard's leg
 // with it; direct callers rarely need it.
 func (c *Client) ScanStreamAt(ctx context.Context, start uint64, max int, epoch uint64) *Scanner {
-	s := &Scanner{c: c, ctx: ctx, next: start, epoch: epoch}
+	s := &Scanner{c: c, ctx: ctx, start: start, epoch: epoch}
 	if max > 0 {
 		s.max = uint64(max)
 	}
@@ -55,25 +52,23 @@ type Scanner struct {
 	c   *Client
 	ctx context.Context
 
-	next  uint64 // stream: requested start; fallback: next page's start
+	start uint64 // first key requested
 	max   uint64 // total pair budget, 0 = unbounded
 	epoch uint64 // shard-map epoch the scan is pinned to, 0 = unpinned
 
-	started   bool
-	stream    bool // streaming path (vs pagination fallback)
-	closed    bool
-	done      bool
-	exhausted bool // fallback: the last page was short; no more to fetch
-	recorded  bool // breaker outcome booked (allow/record must pair 1:1)
-	err       error
+	started  bool
+	closed   bool
+	done     bool
+	recorded bool // breaker outcome booked (allow/record must pair 1:1)
+	err      error
 
-	// Streaming state.
+	// Stream state.
 	cc       *clientConn
 	id       uint64
 	ch       chan result
 	consumed bool // previous chunk fully handed out; owe one credit
 
-	// Cursor over the current chunk/page.
+	// Cursor over the current chunk.
 	keys, vals []uint64
 	i          int
 	key, val   uint64
@@ -104,10 +99,7 @@ func (s *Scanner) Next() bool {
 	if s.done {
 		return false
 	}
-	if s.stream {
-		return s.nextStream()
-	}
-	return s.nextFallback()
+	return s.nextChunk()
 }
 
 // Key returns the current pair's key. Valid after Next returned true.
@@ -122,7 +114,7 @@ func (s *Scanner) Err() error { return s.err }
 // Total returns how many pairs the scan delivered. After a complete stream
 // it is the server's own count from the OpScanEnd frame.
 func (s *Scanner) Total() uint64 {
-	if s.stream && s.done {
+	if s.done {
 		return s.total
 	}
 	return s.delivered
@@ -136,7 +128,7 @@ func (s *Scanner) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.started && s.stream && !s.done && s.err == nil {
+	if s.started && !s.done && s.err == nil {
 		s.cancelStream()
 	}
 	if s.started {
@@ -157,8 +149,7 @@ func (s *Scanner) record(v breakerVerdict) {
 	}
 }
 
-// begin picks the path: a v2 stream when the connection negotiated
-// FeatScanStream, paginated v1 scans otherwise.
+// begin opens the stream on a pooled connection.
 func (s *Scanner) begin() {
 	c := s.c
 	if c.br != nil {
@@ -174,14 +165,6 @@ func (s *Scanner) begin() {
 		s.record(classify(err, false))
 		return
 	}
-	if cc.feats&proto.FeatScanStream == 0 {
-		// Pagination fallback. Release the breaker slot now (neutral: the
-		// link produced no outcome yet); each page runs through c.do and
-		// books its own verdict.
-		s.record(breakerNeutral)
-		return
-	}
-	s.stream = true
 	s.cc = cc
 	s.id = cc.nextID.Add(1)
 	// Window chunks in flight + the end frame + one failure slot: the read
@@ -194,7 +177,7 @@ func (s *Scanner) begin() {
 	}
 	err = cc.send(s.ctx, &proto.Request{
 		ID: s.id, Op: proto.OpScanStart,
-		Key: s.next, ScanMax: s.max, Epoch: s.epoch,
+		Key: s.start, ScanMax: s.max, Epoch: s.epoch,
 		Max: uint32(c.o.scanChunk), Credits: uint32(c.o.scanWindow),
 	}, cc.alone())
 	if err != nil {
@@ -204,8 +187,8 @@ func (s *Scanner) begin() {
 	}
 }
 
-// nextStream pulls the next chunk off the stream channel.
-func (s *Scanner) nextStream() bool {
+// nextChunk pulls the next chunk off the stream channel.
+func (s *Scanner) nextChunk() bool {
 	for {
 		if s.consumed {
 			// The previous chunk has been fully handed out: grant its
@@ -227,8 +210,8 @@ func (s *Scanner) nextStream() bool {
 			}
 			resp := r.resp
 			if resp.Op == proto.OpScanStart {
-				// The server refused to start the stream (feature not
-				// negotiated, duplicate id, or its concurrent-scan cap).
+				// The server refused to start the stream (duplicate id or
+				// its concurrent-scan cap).
 				// That answer carries OpScanStart, so the read loop routes
 				// it here — to the stream, not a waiter — and it is
 				// terminal for the stream.
@@ -272,45 +255,6 @@ func (s *Scanner) nextStream() bool {
 	}
 }
 
-// nextFallback fetches the next page with a plain OpScan.
-func (s *Scanner) nextFallback() bool {
-	if s.exhausted {
-		s.done = true
-		return false
-	}
-	page := s.c.o.scanChunk
-	if s.max > 0 {
-		if rem := s.max - s.delivered; rem < uint64(page) {
-			page = int(rem)
-		}
-	}
-	if page == 0 {
-		s.done = true
-		return false
-	}
-	resp, err := s.c.do(s.ctx, &proto.Request{Op: proto.OpScan, Key: s.next, Max: uint32(page), Epoch: s.epoch})
-	if err != nil {
-		s.err = err // c.do booked the breaker verdict for this page
-		return false
-	}
-	if len(resp.Keys) < page {
-		s.exhausted = true // short page: nothing left after this one
-	} else if last := resp.Keys[len(resp.Keys)-1]; last == ^uint64(0) {
-		s.exhausted = true // top of the key space; last+1 would wrap to 0
-	} else {
-		s.next = last + 1
-	}
-	if len(resp.Keys) == 0 {
-		s.done = true
-		return false
-	}
-	s.keys, s.vals = resp.Keys, resp.Vals
-	s.key, s.val = s.keys[0], s.vals[0]
-	s.i = 1
-	s.delivered++
-	return true
-}
-
 // cancelStream deregisters the stream and tells the server to stop
 // producing (best effort, no deadline: the caller's ctx may already be
 // done, and the cancel frame is fire-and-forget).
@@ -324,9 +268,7 @@ func (s *Scanner) cancelStream() {
 // answered (the link is healthy), which the breaker must not count as a
 // connection failure.
 func (s *Scanner) fail(err error, gotResponse bool) {
-	if s.stream && s.cc != nil {
-		s.cc.dropStream(s.id)
-	}
+	s.cc.dropStream(s.id)
 	s.err = err
 	s.record(classify(err, gotResponse))
 }

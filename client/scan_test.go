@@ -1,9 +1,7 @@
 package client_test
 
-// Tests for the redesigned scan API: the Scanner must behave identically
-// over its two transports — the v2 chunk stream and the v1 pagination
-// fallback — and the deprecated Scan wrapper must keep its old contract on
-// top of it.
+// Tests for the scan API: the Scanner over the chunk stream, and the
+// deprecated Scan wrapper keeping its old contract on top of it.
 
 import (
 	"context"
@@ -13,27 +11,18 @@ import (
 	"time"
 
 	"dytis/client"
-	"dytis/internal/server"
+	"dytis/internal/core"
 )
 
-// serveCfg is serveOn with a caller-supplied config (for DisableV2).
-func serveCfg(t *testing.T, cfg server.Config) string {
+// serve starts a server for idx on a loopback listener, stopped at test end,
+// and returns its address.
+func serve(t *testing.T, idx *core.DyTIS) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		<-done
-	})
+	t.Cleanup(serveOn(t, idx, ln))
 	return ln.Addr().String()
 }
 
@@ -54,37 +43,27 @@ func collectStream(t *testing.T, s *client.Scanner) (keys, vals []uint64) {
 	return keys, vals
 }
 
-// eachTransport runs f against a v2 server (chunk stream) and a v1 server
-// (pagination fallback): the Scanner's observable behavior must not depend
-// on which transport carried it.
-func eachTransport(t *testing.T, f func(t *testing.T, c *client.Client)) {
-	for _, tc := range []struct {
-		name      string
-		disableV2 bool
-	}{
-		{"v2-stream", false},
-		{"v1-fallback", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			idx := newIndex()
-			addr := serveCfg(t, server.Config{Index: idx, DisableV2: tc.disableV2})
-			c, err := client.Dial(addr,
-				client.WithPoolSize(1),
-				client.WithScanStream(256, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			f(t, c)
-			requireSound(t, idx)
-		})
-	}
+// withScanClient runs f, as the "v2-stream" subtest, against a fresh server
+// through a one-connection client with 256-pair chunks and a window of 4.
+func withScanClient(t *testing.T, f func(t *testing.T, c *client.Client)) {
+	t.Run("v2-stream", func(t *testing.T) {
+		idx := newIndex()
+		c, err := client.Dial(serve(t, idx),
+			client.WithPoolSize(1),
+			client.WithScanStream(256, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		f(t, c)
+		requireSound(t, idx)
+	})
 }
 
 func TestScanStreamBothTransports(t *testing.T) {
-	eachTransport(t, func(t *testing.T, c *client.Client) {
+	withScanClient(t, func(t *testing.T, c *client.Client) {
 		ctx := context.Background()
-		const n = 3000 // ~12 chunks of 256: several credit grants / pages
+		const n = 3000 // ~12 chunks of 256: several credit grants
 		for k := uint64(0); k < n; k++ {
 			if err := c.Insert(ctx, k*2, k*2+1); err != nil {
 				t.Fatal(err)
@@ -120,7 +99,7 @@ func TestScanStreamBothTransports(t *testing.T) {
 }
 
 func TestScanStreamEmptyIndex(t *testing.T) {
-	eachTransport(t, func(t *testing.T, c *client.Client) {
+	withScanClient(t, func(t *testing.T, c *client.Client) {
 		s := c.ScanStream(context.Background(), 0, 0)
 		defer s.Close()
 		if s.Next() {
@@ -138,7 +117,7 @@ func TestScanStreamEmptyIndex(t *testing.T) {
 // TestScanStreamTopOfKeyspace: a scan reaching the maximum key must include
 // it and terminate (the naive last+1 resume would wrap to 0 and loop).
 func TestScanStreamTopOfKeyspace(t *testing.T) {
-	eachTransport(t, func(t *testing.T, c *client.Client) {
+	withScanClient(t, func(t *testing.T, c *client.Client) {
 		ctx := context.Background()
 		top := ^uint64(0)
 		for _, k := range []uint64{5, top - 1, top} {
@@ -164,9 +143,9 @@ func TestScanStreamTopOfKeyspace(t *testing.T) {
 }
 
 // TestScanWrapperEquivalence: the deprecated Scan must return exactly what
-// the Scanner yields, on both transports, including its legacy edge cases.
+// the Scanner yields, including its legacy edge cases.
 func TestScanWrapperEquivalence(t *testing.T) {
-	eachTransport(t, func(t *testing.T, c *client.Client) {
+	withScanClient(t, func(t *testing.T, c *client.Client) {
 		ctx := context.Background()
 		for k := uint64(0); k < 1000; k++ {
 			if err := c.Insert(ctx, k, k+5); err != nil {
@@ -200,7 +179,7 @@ func TestScanWrapperEquivalence(t *testing.T) {
 // leaving Next blocked until the caller's deadline.
 func TestScanStreamRefusedPromptly(t *testing.T) {
 	idx := newIndex()
-	addr := serveCfg(t, server.Config{Index: idx})
+	addr := serve(t, idx)
 	c, err := client.Dial(addr,
 		client.WithPoolSize(1),
 		client.WithScanStream(1, 1)) // 1-pair chunks: streams stay open
@@ -256,7 +235,7 @@ func TestScanStreamRefusedPromptly(t *testing.T) {
 // TestScannerCloseWithoutNext: a Scanner abandoned before its first Next
 // must not leak or wedge anything.
 func TestScannerCloseWithoutNext(t *testing.T) {
-	eachTransport(t, func(t *testing.T, c *client.Client) {
+	withScanClient(t, func(t *testing.T, c *client.Client) {
 		ctx := context.Background()
 		if err := c.Insert(ctx, 1, 1); err != nil {
 			t.Fatal(err)

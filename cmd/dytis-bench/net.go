@@ -14,7 +14,6 @@ import (
 	"dytis/client"
 	"dytis/internal/core"
 	"dytis/internal/lathist"
-	"dytis/internal/proto"
 	"dytis/internal/server"
 	"dytis/internal/workload"
 )
@@ -29,24 +28,7 @@ var (
 	netClients = flag.Int("net-clients", 4, "concurrent client goroutines in -exp net (each with its own connection pool)")
 	netAddr    = flag.String("net-addr", "", "replay against an already-running dytis-server at this address instead of an in-process one")
 	netJSON    = flag.String("net-json", "", "also write the -exp net results as JSON to this file")
-	netProto   = flag.String("net-proto", "v2", "client protocol for -exp net/netscan: v2 (negotiated handshake, CRC, streaming scan) or v1 (legacy wire)")
-	scanKeys   = flag.Int("scan-keys", 1<<20, "key count for -exp netscan")
-	scanJSON   = flag.String("scan-json", "", "also write the -exp netscan results as JSON to this file")
 )
-
-// protoOpts maps -net-proto onto client dial options.
-func protoOpts() []client.Option {
-	switch *netProto {
-	case "v2":
-		return nil // the default: negotiate
-	case "v1":
-		return []client.Option{client.WithV1Protocol()}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -net-proto %q (want v1 or v2)\n", *netProto)
-		os.Exit(2)
-		return nil
-	}
-}
 
 // netKinds are the measured workloads; Load is the preload phase, reported
 // separately.
@@ -138,7 +120,7 @@ func runNetWorkload(addr string, kind workload.Kind, keys []uint64) (netCell, er
 	plan := workload.Build(workload.Config{Kind: kind, Keys: keys, Ops: ops, Seed: *seedFlag})
 
 	// Reset + preload through one client with the batch opcodes.
-	c0, err := client.Dial(addr, append(protoOpts(), client.WithPoolSize(1))...)
+	c0, err := client.Dial(addr, client.WithPoolSize(1))
 	if err != nil {
 		return netCell{}, err
 	}
@@ -206,122 +188,10 @@ func runNetWorkload(addr string, kind workload.Kind, keys []uint64) (netCell, er
 	}, nil
 }
 
-// The netscan experiment contrasts the two ways a full scan can travel:
-// slurped v1 pages (each response marshalled whole before its first byte
-// moves, 64Ki pairs ≈ 1 MiB per frame, one round trip of dead air between
-// pages) against the v2 chunk stream (small frames, credit flow control,
-// the server never buffering beyond the window). Each mode gets a fresh
-// in-process server so the out-queue peak metric isolates that mode's
-// server-side buffering.
-type scanCell struct {
-	Mode            string  `json:"mode"`
-	Keys            int     `json:"keys"`
-	ChunkPairs      int     `json:"chunk_pairs"`
-	WallMillis      int64   `json:"wall_ms"`
-	FirstPairMicros int64   `json:"first_pair_us"`
-	MpairsPerSec    float64 `json:"mpairs_per_sec"`
-	ServerPeakBytes int64   `json:"server_out_queue_peak_bytes"`
-}
-
-func netScanExp() {
-	n := *scanKeys
-	fmt.Printf("Full-scan transport comparison: %d keys, GOMAXPROCS %d\n", n, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-12s %12s %10s %14s %12s %22s\n",
-		"mode", "chunk_pairs", "wall_ms", "first_pair_us", "Mpairs/s", "server_peak_bytes")
-
-	modes := []struct {
-		name  string
-		chunk int
-		opts  []client.Option
-	}{
-		// The legacy shape: v1 wire, pages as big as one OpScan allows.
-		{"slurped-v1", proto.MaxScan, []client.Option{client.WithV1Protocol(), client.WithScanStream(proto.MaxScan, 1)}},
-		// The v2 stream at the client defaults.
-		{"streamed-v2", 1024, []client.Option{client.WithScanStream(1024, 8)}},
-	}
-	var cells []scanCell
-	for _, mode := range modes {
-		cell, err := runNetScan(n, mode.chunk, mode.opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netscan %s: %v\n", mode.name, err)
-			os.Exit(1)
-		}
-		cell.Mode = mode.name
-		cells = append(cells, cell)
-		fmt.Printf("%-12s %12d %10d %14d %12.3f %22d\n",
-			cell.Mode, cell.ChunkPairs, cell.WallMillis, cell.FirstPairMicros,
-			cell.MpairsPerSec, cell.ServerPeakBytes)
-	}
-
-	if *scanJSON != "" {
-		out := struct {
-			Keys  int        `json:"keys"`
-			Cells []scanCell `json:"modes"`
-		}{n, cells}
-		data, _ := json.MarshalIndent(out, "", "  ")
-		if err := os.WriteFile(*scanJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "scan-json:", err)
-		}
-	}
-}
-
-func runNetScan(n, chunk int, opts []client.Option) (scanCell, error) {
-	idx := core.New(core.Options{Concurrent: true})
-	defer idx.Close()
-	for k := 0; k < n; k++ {
-		idx.Insert(uint64(k), uint64(k)+1)
-	}
-	m := &server.Metrics{}
-	srv := server.New(server.Config{Index: idx, Metrics: m})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return scanCell{}, err
-	}
-	go srv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-	}()
-
-	c, err := client.Dial(ln.Addr().String(), append(opts, client.WithPoolSize(1))...)
-	if err != nil {
-		return scanCell{}, err
-	}
-	defer c.Close()
-
-	t0 := time.Now()
-	s := c.ScanStream(context.Background(), 0, 0)
-	defer s.Close()
-	var count int
-	var firstPair time.Duration
-	for s.Next() {
-		if count == 0 {
-			firstPair = time.Since(t0)
-		}
-		count++
-	}
-	wall := time.Since(t0)
-	if err := s.Err(); err != nil {
-		return scanCell{}, err
-	}
-	if count != n {
-		return scanCell{}, fmt.Errorf("scan delivered %d pairs, want %d", count, n)
-	}
-	return scanCell{
-		Keys:            n,
-		ChunkPairs:      chunk,
-		WallMillis:      wall.Milliseconds(),
-		FirstPairMicros: firstPair.Microseconds(),
-		MpairsPerSec:    float64(n) / wall.Seconds() / 1e6,
-		ServerPeakBytes: m.OutQueuePeakBytes(),
-	}, nil
-}
-
 // replayStripe executes one client's substream, timing each logical op
 // (an RMW is one op: a read round trip then an update round trip).
 func replayStripe(ctx context.Context, addr string, stripe []workload.Op, h *lathist.Hist) error {
-	c, err := client.Dial(addr, append(protoOpts(), client.WithPoolSize(1))...)
+	c, err := client.Dial(addr, client.WithPoolSize(1))
 	if err != nil {
 		return err
 	}

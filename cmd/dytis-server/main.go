@@ -73,8 +73,6 @@ var (
 	maxInflight  = flag.Int("max-inflight", 0, "cap on requests executing at once; excess is shed with an overload answer (0 = no admission control)")
 	retryAfter   = flag.Duration("retry-after", 100*time.Millisecond, "retry hint sent with overload answers, and the slot wait for requests without a deadline")
 
-	disableV2 = flag.Bool("disable-v2", false, "reject the protocol v2 handshake, emulating a pre-v2 server (escape hatch; v2 clients fall back to plain v1)")
-
 	shardFlag = flag.String("shard", "", `owned key range, making this a cluster shard server: "lo:hi" (inclusive, 0x-prefixed hex or decimal) or "i/n" (i-th of n uniform shards, 0-based); "none" owns nothing (a fresh node awaiting handover). Empty = single-server mode, whole key space, no cluster opcodes`)
 
 	walDir     = flag.String("wal-dir", "", "directory for the write-ahead log and checkpoints; the index recovers from it at startup (empty = in-memory only, no durability)")
@@ -193,7 +191,6 @@ func main() {
 		WriteTimeout: *writeTimeout,
 		MaxInflight:  *maxInflight,
 		RetryAfter:   *retryAfter,
-		DisableV2:    *disableV2,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -21,8 +21,6 @@
 //
 //	idx := dytis.New(dytis.WithConcurrent())
 //
-// The Options-struct constructor remains available as NewFromOptions.
-//
 // Beyond the core operations the index offers ordered iteration (NewCursor,
 // Range, ScanFunc), Min/Max/Successor, a LoadSorted bulk fast path, binary
 // snapshots (WriteSnapshot/ReadSnapshot), and structure statistics (Stats,
@@ -60,9 +58,7 @@ type KV = kv.KV
 
 // Options configure an Index; the zero value selects the paper's §4.1
 // defaults (R=9, 2 KB buckets, U_t=0.6, L_start=6, adaptive Limit_seg).
-// New's functional options are the primary way to configure an index;
-// Options remains for callers that build configurations programmatically
-// (pass it to NewFromOptions).
+// New's functional options set these fields.
 type Options = core.Options
 
 // Stats reports the index's structure-maintenance counters (splits,
@@ -85,18 +81,6 @@ func New(opts ...Option) *Index {
 	for _, apply := range opts {
 		apply(&o)
 	}
-	return newFromCoreOptions(o)
-}
-
-// NewFromOptions creates an empty index from an Options struct. It is the
-// compatibility path for the pre-functional-options API; New is preferred.
-func NewFromOptions(o Options) *Index { return newFromCoreOptions(o) }
-
-// NewDefault creates an empty single-threaded index with the paper's
-// default parameters. Equivalent to New() with no options.
-func NewDefault() *Index { return New() }
-
-func newFromCoreOptions(o core.Options) *Index {
 	idx := core.New(o)
 	// Complete the observer wiring: the exporter serves Stats and
 	// MemoryFootprint straight from the index.
@@ -105,3 +89,7 @@ func newFromCoreOptions(o core.Options) *Index {
 	}
 	return idx
 }
+
+// NewDefault creates an empty single-threaded index with the paper's
+// default parameters. Equivalent to New() with no options.
+func NewDefault() *Index { return New() }

@@ -29,7 +29,8 @@
 //     visits exactly the segments an in-order directory walk visits.
 //   - Limit_seg discipline (§3.3): the adaptive multiplier is one of the two
 //     configured values and, below the directory depth guard, no segment
-//     exceeds its depth-derived bucket cap.
+//     exceeds its depth-derived bucket cap that the delete path would have
+//     shrunk (a segment sized to fit its keys may stay past the cap).
 //   - Optimistic-read publication (§3.4, optimistic variant): in Concurrent
 //     mode each EH's published directory snapshot agrees with the canonical
 //     directory, and — in both modes — every directory-reachable segment's
@@ -94,7 +95,7 @@ const (
 	// values.
 	KindLimitMult
 	// KindSegLimit: below the depth guard, a segment exceeds its
-	// depth-derived bucket cap.
+	// depth-derived bucket cap at a utilization the delete path shrinks.
 	KindSegLimit
 	// KindStats: Stats shape counters differ from the recounted ground
 	// truth.
@@ -416,13 +417,18 @@ func (c *ehChecker) checkSegment(s core.SegmentView) {
 	}
 
 	// Limit_seg: below the depth guard no segment may exceed its
-	// depth-derived cap. (At the guard, forceRebalance grows past the cap by
-	// design; and a split child that cannot fit its keys within the cap is
-	// sized to fit, so a genuinely-full segment is exempt.)
+	// depth-derived cap unless a structure path put it there on purpose. (At
+	// the guard, forceRebalance grows past the cap by design.) A split child
+	// that cannot fit its keys within the cap is sized to fit them. Deletes
+	// then leave its bucket count alone until utilization falls under 20 %,
+	// and the shrink that follows rebuilds onto keys/(bcap·U_t)+1 buckets,
+	// which may still be over the cap. So the one over-cap segment no path
+	// leaves behind is one the delete path would shrink.
 	if !c.e.AtDepthGuard() {
 		lim := c.e.MaxBuckets(s.LocalDepth())
-		needed := (counted + bcap - 1) / bcap
-		if nb > lim && nb > needed {
+		util := float64(counted) / float64(nb*bcap)
+		shrinkTo := int(float64(counted)/(float64(bcap)*c.opts.UtilThreshold)) + 1
+		if nb > lim && util < 0.2 && shrinkTo <= nb/2 {
 			c.violate(KindSegLimit, base, "nb=%d exceeds Limit_seg=%d (ld=%d, %d keys)",
 				nb, lim, s.LocalDepth(), counted)
 		}

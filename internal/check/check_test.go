@@ -281,6 +281,40 @@ func TestCheckInvalidLimitMult(t *testing.T) {
 	requireOnly(t, vs, check.KindLimitMult)
 }
 
+// TestCheckSegLimitOverCapEmpty plants an over-cap segment the delete path
+// would have shrunk: keys packed into the bottom of the key space leave the
+// split's upper children empty at two buckets, and dropping the multiplier to
+// its other configured value puts the cap at one.
+func TestCheckSegLimitOverCapEmpty(t *testing.T) {
+	o := opts()
+	o.BaseSegBuckets, o.SegLimitMult, o.AdaptiveMult = 1, 2, 1
+	d := core.New(o)
+	for i := uint64(0); i < 200; i++ {
+		d.Insert(i, i)
+	}
+	if vs := check.Check(d); len(vs) != 0 {
+		t.Fatalf("clean index reported violations: %v", vs)
+	}
+	eh0(d).SetLimitMultForTest(1)
+	requireOnly(t, check.Check(d), check.KindSegLimit)
+}
+
+// TestCheckSegLimitSizedToFitAfterDelete: a bulk-loaded segment sized past
+// its cap to fit its keys stays legal after a delete, which shrinks a segment
+// only once its utilization falls under 20 %.
+func TestCheckSegLimitSizedToFitAfterDelete(t *testing.T) {
+	d := core.New(core.Options{FirstLevelBits: 2, BucketEntries: 4, StartDepth: 2, BaseSegBuckets: 4})
+	ks := make([]uint64, 49)
+	for i := range ks {
+		ks[i] = 0x0089abcdef000000 + uint64(i)*1021
+	}
+	d.LoadSorted(ks, ks)
+	d.Delete(ks[0])
+	if vs := check.Check(d); len(vs) != 0 {
+		t.Fatalf("sized-to-fit segment after a delete reported violations: %v", vs)
+	}
+}
+
 func TestCheckStaleSnapshot(t *testing.T) {
 	d := build(t, true)
 	e := eh0(d)

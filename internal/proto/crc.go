@@ -1,8 +1,7 @@
 package proto
 
-// Per-frame CRC32C trailers (protocol v2, FeatCRC). After a successful
-// HELLO exchange that grants FeatCRC, every frame in both directions gains
-// a 4-byte trailer:
+// Per-frame CRC32C trailers (protocol v2, FeatCRC). After the HELLO
+// exchange, every frame in both directions carries a 4-byte trailer:
 //
 //	uint32  body length (big endian)     ─┐
 //	...     body                          ├─ covered by the checksum

@@ -49,17 +49,18 @@
 //
 // # Protocol v2 (negotiated)
 //
-// Everything above is protocol v1 and stays byte-identical forever. A peer
-// may upgrade by sending OpHello as the very first request on a connection:
+// Everything above is the protocol v1 encoding, which the HELLO exchange
+// still uses. Every connection opens with OpHello as its first request:
 //
 //	Hello (request)   maxVersion(1) features(4)
 //	Hello (response)  version(1) features(4)       — the negotiated subset
 //
-// A v1 server answers the unknown opcode with StatusBadRequest and drops
-// the connection; the client then redials and speaks plain v1, so old
-// servers keep working unmodified (and a v1 client never sends HELLO, so
-// it is unaffected either way). The HELLO exchange itself is always
-// unsealed v1 framing. Version2 negotiates two independent features:
+// The server refuses a first frame that is not a HELLO asking for Version2
+// with FeatCRC and FeatScanStream: it answers StatusBadRequest and closes
+// the connection. The HELLO exchange itself is unsealed v1 framing; every
+// frame after it is protocol v2. The Scan opcode keeps its number and codec,
+// but the server refuses it after the handshake: scans travel only as
+// streams. Version2 negotiates these features:
 //
 //   - FeatCRC: every frame after the HELLO exchange, in both directions,
 //     carries a 4-byte CRC32C (Castagnoli) trailer covering the length
@@ -270,8 +271,8 @@ const FlagEpoch = 0x40
 
 // Protocol versions, negotiated via OpHello (see the package comment).
 const (
-	// Version1 is the original protocol: no handshake, no checksums,
-	// slurped scans. A connection that never negotiates is Version1.
+	// Version1 is the original encoding, which the HELLO exchange still
+	// uses; the server refuses a connection that asks for no more.
 	Version1 uint8 = 1
 	// Version2 adds per-frame CRC32C trailers, the streaming scan opcode
 	// family, and a typed retry-after field on overload responses.

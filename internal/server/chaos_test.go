@@ -472,10 +472,9 @@ func verifyChaosReadback(t *testing.T, addr string, nclients int, oracles []*cha
 }
 
 // TestChaosCorruption runs a corrupting plan — bit flips and duplicated
-// spans — against a client pinned to protocol v2 (WithRequireV2: no silent
-// downgrade to the checksum-free v1 wire). With per-frame CRC32C on both
-// directions the contract is stronger than structural survival: corruption
-// must be *detected* — the server's checksum-error counter moves or the
+// spans — against a client. With every frame after the handshake sealed by a
+// CRC32C in both directions, the contract is stronger than structural
+// survival: corruption must be *detected* — the server's checksum-error counter moves or the
 // client reports ErrFrameCorrupt — the corrupt connection is quarantined,
 // and no acknowledged op ever returns a wrong answer. Each key is written
 // with exactly one value, so the clean readback can hold every present key
@@ -497,12 +496,11 @@ func TestChaosCorruption(t *testing.T) {
 	defer px.Close()
 
 	// Dial's own handshake runs through the flip proxy too and may be the
-	// corruption's first victim (RequireV2 fails closed rather than
-	// downgrading); retry until a clean one lands.
+	// corruption's first victim (a mangled HELLO fails the dial); retry
+	// until a clean one lands.
 	var c *client.Client
 	for attempt := 0; ; attempt++ {
 		c, err = client.Dial(px.Addr(),
-			client.WithRequireV2(),
 			client.WithReconnect(8, time.Millisecond, 10*time.Millisecond),
 			client.WithCircuitBreaker(0, 0),
 			client.WithDialTimeout(time.Second))

@@ -12,8 +12,8 @@ import (
 	"dytis/internal/wal"
 )
 
-// The submitted-mutation path (commit.go), driven with raw v1 frames over a
-// durable store whose fsync the test holds open: what overtakes what, who
+// The submitted-mutation path (commit.go), driven with raw sealed frames
+// over a durable store whose fsync the test holds open: what overtakes what, who
 // waits for whom, and what a drain still answers.
 
 // fsyncStall is a wal Hooks.Sync that parks every fsync while stalled.
@@ -82,44 +82,6 @@ func startStalled(t *testing.T, cfg server.Config) (string, *server.Server, *wal
 	return addr, srv, st, stall
 }
 
-func rawDial(t *testing.T, addr string) net.Conn {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	return nc
-}
-
-func rawSend(t *testing.T, nc net.Conn, reqs ...proto.Request) {
-	t.Helper()
-	var out []byte
-	for i := range reqs {
-		var err error
-		if out, err = proto.AppendRequest(out, &reqs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := nc.Write(out); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func rawRecv(t *testing.T, nc net.Conn) proto.Response {
-	t.Helper()
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	body, _, err := proto.ReadFrame(nc, nil)
-	if err != nil {
-		t.Fatalf("reading a response: %v", err)
-	}
-	var resp proto.Response
-	if err := proto.DecodeResponse(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
 // TestDurableReadOvertakesWriteAck: INSERT k then GET j pipelined on one
 // connection, with the INSERT's fsync held open. The GET is answered first;
 // while the INSERT is not durable no read sees it; its ack arrives only
@@ -154,14 +116,19 @@ func TestDurableReadOvertakesWriteAck(t *testing.T) {
 	}
 }
 
-// heldConn is a server-side connection whose writes park while held.
+// heldConn is a server-side connection whose writes after the handshake's
+// answer park while held.
 type heldConn struct {
 	net.Conn
-	held chan struct{} // closed to let writes through
+	held      chan struct{} // closed to let writes through
+	handshook bool          // the HELLO answer has gone out
 }
 
-func (c heldConn) Write(p []byte) (int, error) {
-	<-c.held
+func (c *heldConn) Write(p []byte) (int, error) {
+	if c.handshook {
+		<-c.held
+	}
+	c.handshook = true
 	return c.Conn.Write(p)
 }
 
@@ -178,7 +145,7 @@ func TestDurableSlowConnDoesNotDelayCommits(t *testing.T) {
 		Pipeline: pipeline,
 		WrapConn: func(nc net.Conn) net.Conn {
 			wrapped := nc
-			first.Do(func() { wrapped = heldConn{nc, held} }) // the first connection accepted is the slow one
+			first.Do(func() { wrapped = &heldConn{Conn: nc, held: held} }) // the first connection accepted is the slow one
 			return wrapped
 		},
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dytis/internal/cluster"
-	"dytis/internal/kv"
 	"dytis/internal/proto"
 )
 
@@ -33,15 +32,11 @@ type conn struct {
 	readBuf []byte
 	req     proto.Request
 	resp    proto.Response
-	kvBuf   []kv.KV
 	shard   int
 
-	// Negotiated protocol state. Written only by the read loop (at the HELLO
-	// exchange, before any scan goroutine exists), read by the read loop and
-	// by scan goroutines it starts afterwards, so plain fields suffice.
-	ver     uint8
-	feats   uint32
-	nframes uint64 // frames decoded so far; HELLO is valid only as frame 1
+	// feats are the features the handshake granted, fixed before the read
+	// loop starts.
+	feats uint32
 
 	// Streaming-scan state (scan.go). scanStop is closed when the read loop
 	// exits; every scan goroutine joins through scanWg before the out
@@ -101,9 +96,13 @@ func (c *conn) armReadDeadline(d time.Duration) {
 
 func (c *conn) serve() {
 	c.shard = int(connSerial.Add(1))
+	br := bufio.NewReaderSize(c.nc, 32<<10)
+	if !c.handshake(br) {
+		c.nc.Close()
+		return
+	}
 	c.out = make(chan []byte, c.srv.cfg.Pipeline)
 	c.free = make(chan []byte, c.srv.cfg.Pipeline)
-	c.ver = proto.Version1
 	c.scanStop = make(chan struct{})
 	if c.srv.committer != nil {
 		// One place per pending mutation, so a completion never blocks.
@@ -114,72 +113,41 @@ func (c *conn) serve() {
 	go c.writeLoop(writerDone)
 
 	cfg := &c.srv.cfg
-	br := bufio.NewReaderSize(c.nc, 32<<10)
 	for {
-		// Two deadline regimes per frame: a (long) idle deadline while
-		// waiting for the next request to start, then a (short) per-frame
-		// deadline once its header has arrived. A slow-loris peer that
-		// trickles a frame byte by byte trips the second one and is reaped
-		// without affecting any other connection.
-		if cfg.IdleTimeout > 0 || cfg.ReadTimeout > 0 || c.srv.Draining() {
-			c.armReadDeadline(cfg.IdleTimeout)
-		}
-		n, err := proto.ReadHeader(br)
-		if err != nil {
-			c.reportReadErr(err, "idle")
+		n, body, ok := c.readFrame(br)
+		if !ok {
 			break
 		}
-		if cfg.ReadTimeout > 0 {
-			c.armReadDeadline(cfg.ReadTimeout)
-		}
-		body, buf, err := proto.ReadBody(br, n, c.readBuf)
-		c.readBuf = buf
-		if err != nil {
-			c.reportReadErr(err, "frame")
-			break
-		}
-		if c.feats&proto.FeatCRC != 0 {
-			// FeatCRC negotiated: every frame carries a CRC32C trailer over
-			// its length prefix and body. A mismatch means the stream has
-			// carried corruption — answer best-effort with the (possibly
-			// corrupt) id so a pipelined caller fails fast rather than
-			// timing out, then quarantine the connection: nothing after a
-			// corrupt frame can be trusted to be aligned.
-			if err := proto.ReadTrailer(br, n, body); err != nil {
-				if !errors.Is(err, proto.ErrChecksum) {
-					c.reportReadErr(err, "frame")
-					break
-				}
-				if m := cfg.Metrics; m != nil {
-					m.frameChecksum()
-				}
-				c.srv.logf("server: conn %s: %v; quarantining connection", c.raddr, err)
-				c.send(&proto.Response{
-					ID: binary.BigEndian.Uint64(body), Op: proto.OpPing,
-					Status: proto.StatusChecksum, Msg: "frame checksum mismatch",
-				})
+		// Every frame after the handshake carries a CRC32C trailer over its
+		// length prefix and body. A mismatch means the stream has carried
+		// corruption — answer best-effort with the (possibly corrupt) id so a
+		// pipelined caller fails fast rather than timing out, then quarantine
+		// the connection: nothing after a corrupt frame can be trusted to be
+		// aligned.
+		if err := proto.ReadTrailer(br, n, body); err != nil {
+			if !errors.Is(err, proto.ErrChecksum) {
+				c.reportReadErr(err, "frame")
 				break
 			}
+			if m := cfg.Metrics; m != nil {
+				m.frameChecksum()
+			}
+			c.srv.logf("server: conn %s: %v; quarantining connection", c.raddr, err)
+			c.send(&proto.Response{
+				ID: binary.BigEndian.Uint64(body), Op: proto.OpPing,
+				Status: proto.StatusChecksum, Msg: "frame checksum mismatch",
+			})
+			break
 		}
 		arrival := time.Now()
-		if err := proto.DecodeRequest(body, &c.req); err != nil {
+		if bad := c.decode(body); bad != nil {
 			// The frame was well-delimited but its body is malformed. Answer
 			// with the request id if one was present, then drop the
 			// connection: a peer that emits garbage cannot be assumed to
 			// agree on stream alignment from here on.
-			if m := cfg.Metrics; m != nil {
-				m.protoError()
-			}
-			var id uint64
-			if len(body) >= 8 {
-				id = binary.BigEndian.Uint64(body)
-			}
-			c.send(&proto.Response{
-				ID: id, Op: proto.OpPing, Status: proto.StatusBadRequest, Msg: err.Error(),
-			})
+			c.send(bad)
 			break
 		}
-		c.nframes++
 		if !c.dispatch(arrival) {
 			break
 		}
@@ -197,40 +165,114 @@ func (c *conn) serve() {
 	c.nc.Close()
 }
 
-// dispatch routes one decoded request: the v2 opcodes to the negotiation and
-// scan-stream handlers, everything else to handle. It reports whether the
-// connection should go on.
-func (c *conn) dispatch(arrival time.Time) bool {
+// readFrame reads one frame's length prefix and body into c.readBuf under
+// two deadline regimes: a (long) idle deadline while waiting for the next
+// request to start, then a (short) per-frame deadline once its header has
+// arrived. A slow-loris peer that trickles a frame byte by byte trips the
+// second one and is reaped without affecting any other connection. ok is
+// false when the connection is done; the failure is already reported.
+func (c *conn) readFrame(br *bufio.Reader) (n int, body []byte, ok bool) {
 	cfg := &c.srv.cfg
-	req := &c.req
-	switch req.Op {
-	case proto.OpHello, proto.OpScanStart, proto.OpScanCredit, proto.OpScanCancel,
-		proto.OpShardInfo, proto.OpMapGet, proto.OpMapSet,
-		proto.OpHandoverStart, proto.OpHandoverStatus,
-		proto.OpHandoverResume, proto.OpHandoverAbort, proto.OpImportResume,
-		proto.OpImportStart, proto.OpImportBatch, proto.OpImportEnd, proto.OpMirror:
-		if cfg.DisableV2 {
-			// Emulate a pre-v2 server byte for byte: before the handshake
-			// existed these opcodes failed request decoding, which answered
-			// StatusBadRequest with the decoder's message and dropped the
-			// connection. A v2 client takes that as "speak plain v1".
-			if m := cfg.Metrics; m != nil {
-				m.protoError()
-			}
-			opb := byte(req.Op)
-			if req.TimeoutMS != 0 {
-				opb |= proto.FlagDeadline
-			}
-			if req.Epoch != 0 {
-				opb |= proto.FlagEpoch
-			}
-			c.send(&proto.Response{
-				ID: req.ID, Op: proto.OpPing, Status: proto.StatusBadRequest,
-				Msg: fmt.Sprintf("proto: unknown opcode: %d", opb),
-			})
-			return false
-		}
+	if cfg.IdleTimeout > 0 || cfg.ReadTimeout > 0 || c.srv.Draining() {
+		c.armReadDeadline(cfg.IdleTimeout)
 	}
+	n, err := proto.ReadHeader(br)
+	if err != nil {
+		c.reportReadErr(err, "idle")
+		return 0, nil, false
+	}
+	if cfg.ReadTimeout > 0 {
+		c.armReadDeadline(cfg.ReadTimeout)
+	}
+	body, c.readBuf, err = proto.ReadBody(br, n, c.readBuf)
+	if err != nil {
+		c.reportReadErr(err, "frame")
+		return 0, nil, false
+	}
+	return n, body, true
+}
+
+// decode decodes body into c.req. On a malformed body it counts the protocol
+// error and returns the StatusBadRequest answer, carrying the request id if
+// one was present.
+func (c *conn) decode(body []byte) *proto.Response {
+	err := proto.DecodeRequest(body, &c.req)
+	if err == nil {
+		return nil
+	}
+	if m := c.srv.cfg.Metrics; m != nil {
+		m.protoError()
+	}
+	var id uint64
+	if len(body) >= 8 {
+		id = binary.BigEndian.Uint64(body)
+	}
+	return &proto.Response{ID: id, Op: proto.OpPing, Status: proto.StatusBadRequest, Msg: err.Error()}
+}
+
+// handshake runs the HELLO exchange every connection opens with, before the
+// write loop exists. Both the first frame and its answer travel unsealed;
+// every later frame, in both directions, is sealed. It reports whether the
+// connection goes on.
+func (c *conn) handshake(br *bufio.Reader) bool {
+	_, body, ok := c.readFrame(br)
+	if !ok {
+		return false
+	}
+	arrival := time.Now()
+	resp := c.decode(body)
+	if resp == nil {
+		resp = c.hello()
+	}
+	frame, err := proto.AppendResponse(nil, resp)
+	if err != nil {
+		c.srv.logf("server: encode hello response: %v", err)
+		return false
+	}
+	if _, err := (writeDeadlineWriter{c.nc, c.srv.cfg.WriteTimeout}).Write(frame); err != nil || resp.Status != proto.StatusOK {
+		return false
+	}
+	if m := c.srv.cfg.Metrics; m != nil {
+		m.recordOp(proto.OpHello, c.shard, 1, time.Since(arrival))
+	}
+	return true
+}
+
+// hello answers a connection's decoded first request. A HELLO asking for
+// protocol v2 with checksums and streamed scans is granted what the server
+// implements of it; anything else is a protocol error, refused with
+// StatusBadRequest.
+func (c *conn) hello() *proto.Response {
+	req := &c.req
+	resp := &proto.Response{ID: req.ID, Op: req.Op, Status: proto.StatusBadRequest}
+	const need = proto.FeatCRC | proto.FeatScanStream
+	switch {
+	case req.Op != proto.OpHello:
+		resp.Msg = "hello: a connection must open with the protocol v2 handshake"
+	case req.Ver < proto.Version2 || req.Feats&need != need:
+		resp.Msg = fmt.Sprintf("hello: protocol v2 with checksums and streamed scans required (asked for version %d, features %#x)", req.Ver, req.Feats)
+	default:
+		c.feats = req.Feats & proto.AllFeatures
+		if c.srv.cfg.Cluster == nil {
+			// A non-cluster server must not advertise the cluster opcode
+			// family: granting it would invite opcodes the execute path
+			// cannot serve.
+			c.feats &^= proto.FeatCluster
+		}
+		resp.Status, resp.Ver, resp.Feats = proto.StatusOK, proto.Version2, c.feats
+		return resp
+	}
+	if m := c.srv.cfg.Metrics; m != nil {
+		m.protoError()
+	}
+	return resp
+}
+
+// dispatch routes one decoded request: the stream opcodes to the scan-stream
+// handlers, everything else to handle. It reports whether the connection
+// should go on.
+func (c *conn) dispatch(arrival time.Time) bool {
+	req := &c.req
 	switch req.Op {
 	case proto.OpShardInfo, proto.OpMapGet, proto.OpMapSet,
 		proto.OpHandoverStart, proto.OpHandoverStatus,
@@ -239,18 +281,18 @@ func (c *conn) dispatch(arrival time.Time) bool {
 		// Cluster opcodes need the feature negotiated, which a non-cluster
 		// server never grants; a peer using them anyway is broken, so the
 		// connection quarantines like any other feature violation.
-		if cfg.Cluster == nil || c.feats&proto.FeatCluster == 0 {
-			c.send(&proto.Response{
-				ID: req.ID, Op: req.Op, Status: proto.StatusBadRequest,
-				Msg: "cluster: feature not negotiated",
-			})
-			return false
+		if c.srv.cfg.Cluster == nil || c.feats&proto.FeatCluster == 0 {
+			return c.refuse("cluster: feature not negotiated")
 		}
 	}
 	//dytis:opswitch requests group=serve
 	switch req.Op {
 	case proto.OpHello:
-		return c.handleHello(arrival)
+		// Valid only as the handshake; a peer that flips framing mid-flight
+		// under pipelined traffic is broken.
+		return c.refuse("hello: must be the first request on a connection")
+	case proto.OpScan:
+		return c.refuse("scan: scans stream; send scan-start")
 	case proto.OpScanStart:
 		return c.handleScanStart(arrival)
 	case proto.OpScanCredit:
@@ -263,37 +305,11 @@ func (c *conn) dispatch(arrival time.Time) bool {
 	return c.handle(arrival)
 }
 
-// handleHello performs the v2 feature negotiation. The reply is encoded and
-// queued before the negotiated state takes effect, so the HELLO exchange
-// itself always travels as plain v1 frames in both directions.
-func (c *conn) handleHello(arrival time.Time) bool {
-	req, resp := &c.req, &c.resp
-	*resp = proto.Response{ID: req.ID, Op: proto.OpHello}
-	if c.nframes != 1 {
-		resp.Status = proto.StatusBadRequest
-		resp.Msg = "hello: must be the first request on a connection"
-		c.send(resp)
-		return false
-	}
-	ver, feats := proto.Version1, uint32(0)
-	if req.Ver >= proto.Version2 {
-		ver = proto.Version2
-		feats = req.Feats & proto.AllFeatures
-		if c.srv.cfg.Cluster == nil {
-			// A non-cluster server must not advertise the cluster opcode
-			// family: pre-cluster peers depend on the exact grant
-			// (compat tests pin it), and granting it would invite opcodes
-			// the execute path cannot serve.
-			feats &^= proto.FeatCluster
-		}
-	}
-	resp.Ver, resp.Feats = ver, feats
-	if m := c.srv.cfg.Metrics; m != nil {
-		m.recordOp(proto.OpHello, c.shard, 1, time.Since(arrival))
-	}
-	ok := c.send(resp)
-	c.ver, c.feats = ver, feats
-	return ok
+// refuse answers c.req with StatusBadRequest and reports false: the request
+// breaks the protocol, so the connection closes after the answer.
+func (c *conn) refuse(msg string) bool {
+	c.send(&proto.Response{ID: c.req.ID, Op: c.req.Op, Status: proto.StatusBadRequest, Msg: msg})
+	return false
 }
 
 // reportReadErr books and logs one read-loop failure. Timeouts outside a
@@ -371,8 +387,6 @@ func (c *conn) handle(arrival time.Time) bool {
 			}
 			resp.Status = proto.StatusOverload
 			resp.Msg = cfg.RetryAfter.String()
-			// Typed hint for v2 peers; AppendResponseV only encodes it at
-			// Version2, so the v1 wire stays byte-identical.
 			resp.RetryAfterMS = uint32(cfg.RetryAfter.Milliseconds())
 			return c.send(resp)
 		}
@@ -475,21 +489,6 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 			}
 		} else {
 			resp.Found = idx.Delete(req.Key)
-		}
-	case proto.OpScan:
-		if node != nil {
-			var err error
-			c.kvBuf, _, err = node.Scan(req.Epoch, req.Key, int(req.Max), c.kvBuf[:0])
-			if err != nil {
-				c.clusterErr(resp, err)
-				break
-			}
-		} else {
-			c.kvBuf = idx.Scan(req.Key, int(req.Max), c.kvBuf[:0])
-		}
-		for _, p := range c.kvBuf {
-			resp.Keys = append(resp.Keys, p.Key)
-			resp.Vals = append(resp.Vals, p.Value)
 		}
 	case proto.OpGetBatch:
 		if node != nil {
@@ -615,11 +614,10 @@ func batchSize(req *proto.Request) int {
 	return 1
 }
 
-// send encodes resp for the connection's negotiated version — sealing it
-// with a CRC32C trailer when FeatCRC is on — and queues it on the out
-// channel, blocking when the write loop is backed up (the read side of the
-// backpressure chain). It is called by the read loop and by scan-stream
-// goroutines; each caller passes its own Response.
+// send encodes and seals resp and queues it on the out channel, blocking
+// when the write loop is backed up (the read side of the backpressure
+// chain). It is called by the read loop and by scan-stream goroutines; each
+// caller passes its own Response.
 func (c *conn) send(resp *proto.Response) bool {
 	frame, ok := c.appendFrame(c.takeFrame(), resp)
 	if !ok {
@@ -643,21 +641,18 @@ func (c *conn) takeFrame() []byte {
 	}
 }
 
-// appendFrame appends resp to dst as one frame in the connection's
-// negotiated form: version-specific encoding, CRC32C trailer under FeatCRC.
+// appendFrame appends resp to dst as one protocol v2 frame sealed with its
+// CRC32C trailer.
 func (c *conn) appendFrame(dst []byte, resp *proto.Response) ([]byte, bool) {
 	start := len(dst)
-	dst, err := proto.AppendResponseV(dst, resp, c.ver)
+	dst, err := proto.AppendResponseV(dst, resp, proto.Version2)
 	if err != nil {
 		// Only reachable if the index returned an over-limit result, which
 		// the request validation rules out; treat as a connection-fatal bug.
 		c.srv.logf("server: encode response: %v", err)
 		return dst[:start], false
 	}
-	if c.feats&proto.FeatCRC != 0 {
-		dst = proto.SealFrame(dst, start)
-	}
-	return dst, true
+	return proto.SealFrame(dst, start), true
 }
 
 // writeLoop drains the out channel — and, on a committing backend, the

@@ -36,14 +36,12 @@ func durableOpts() wal.Options {
 // the directory: the recovered index must hold exactly the merged oracle
 // state — the wire ack was a durability ack. Mutations are submitted and
 // acked on completion, out of order with the reads around them; request ids
-// sort that out on either protocol version, so a v1 client runs the same
-// drill.
+// sort that out.
 func TestE2EDurableServer(t *testing.T) {
-	t.Run("v2", func(t *testing.T) { e2eDurableServer(t) })
-	t.Run("v1", func(t *testing.T) { e2eDurableServer(t, client.WithV1Protocol()) })
+	t.Run("v2", e2eDurableServer)
 }
 
-func e2eDurableServer(t *testing.T, dialOpts ...client.Option) {
+func e2eDurableServer(t *testing.T) {
 	dir := t.TempDir()
 	st, err := wal.Open(dir, durableOpts())
 	if err != nil {
@@ -63,7 +61,7 @@ func e2eDurableServer(t *testing.T, dialOpts ...client.Option) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := client.Dial(addr, append([]client.Option{client.WithPipeline(16)}, dialOpts...)...)
+			c, err := client.Dial(addr, client.WithPipeline(16))
 			if err != nil {
 				t.Errorf("client %d: dial: %v", id, err)
 				return

@@ -1,6 +1,6 @@
 package server
 
-// Streaming scans (protocol v2, FeatScanStream). An OpScanStart spawns one
+// Streaming scans, the protocol's one scan path. An OpScanStart spawns one
 // goroutine per stream that pages through the index and pushes OpScanChunk
 // frames into the connection's out channel, ending with OpScanEnd. Two
 // mechanisms bound its memory and its claim on the connection:
@@ -50,27 +50,18 @@ type scanStream struct {
 }
 
 // handleScanStart validates and launches one stream; it reports whether the
-// connection should go on (a feature violation quarantines it).
+// connection should go on (a duplicate stream id quarantines it).
 func (c *conn) handleScanStart(arrival time.Time) bool {
 	cfg := &c.srv.cfg
 	req, resp := &c.req, &c.resp
 	*resp = proto.Response{ID: req.ID, Op: proto.OpScanStart}
-	if c.feats&proto.FeatScanStream == 0 {
-		resp.Status = proto.StatusBadRequest
-		resp.Msg = "scan-stream: feature not negotiated"
-		c.send(resp)
-		return false
-	}
 	c.scanMu.Lock()
 	if c.scans == nil {
 		c.scans = make(map[uint64]*scanStream)
 	}
 	if _, dup := c.scans[req.ID]; dup {
 		c.scanMu.Unlock()
-		resp.Status = proto.StatusBadRequest
-		resp.Msg = "scan-stream: duplicate stream id"
-		c.send(resp)
-		return false
+		return c.refuse("scan-stream: duplicate stream id")
 	}
 	if len(c.scans) >= maxScansPerConn {
 		c.scanMu.Unlock()

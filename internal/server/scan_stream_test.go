@@ -1,15 +1,14 @@
 package server_test
 
-// End-to-end tests for the v2 streaming scan: a large scan must arrive
+// End-to-end tests for the streaming scan: a large scan must arrive
 // complete and ordered while the server's per-connection outbound queue stays
-// bounded by the credit window (the whole point of streaming — the old OpScan
-// marshalled the full result before the first byte moved), streams must
+// bounded by the credit window (the whole point of streaming — no frame
+// carries the full result), streams must
 // interleave with point ops on the same connection, and cancellation must
 // release the stream without hurting the connection.
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -253,38 +252,16 @@ func TestScanStreamContextCancel(t *testing.T) {
 	}
 }
 
-// TestScanStreamRequiresNegotiation: OpScanStart without FeatScanStream (a
-// raw v1 socket forging the opcode) is a protocol violation that drops the
-// connection.
+// TestScanStreamRequiresNegotiation: an OpScanStart on a connection that
+// skipped the handshake is refused like any other first frame that is not a
+// HELLO, and the connection closes.
 func TestScanStreamRequiresNegotiation(t *testing.T) {
 	idx := core.New(smallOpts())
 	addr, _ := start(t, idx, server.Config{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	out, err := proto.AppendRequest(nil, &proto.Request{
-		ID: 1, Op: proto.OpScanStart, Max: 10, Credits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	body, _, err := proto.ReadFrame(nc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp proto.Response
-	if err := proto.DecodeResponse(body, &resp); err != nil {
-		t.Fatal(err)
-	}
+	nc := dialPlain(t, addr)
+	resp := hello(t, nc, proto.Request{ID: 1, Op: proto.OpScanStart, Max: 10, Credits: 1})
 	if resp.Status != proto.StatusBadRequest {
-		t.Fatalf("unnegotiated OpScanStart answered %+v, want bad-request", resp)
+		t.Fatalf("OpScanStart before the handshake answered %+v, want bad-request", resp)
 	}
-	if _, _, err := proto.ReadFrame(nc, nil); err == nil {
-		t.Fatal("connection stayed open after unnegotiated OpScanStart")
-	}
+	requireClosed(t, nc, "an OpScanStart before the handshake")
 }

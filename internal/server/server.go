@@ -3,6 +3,10 @@
 // pipelining, per-connection read/write goroutines, batched opcodes,
 // connection limits with accept-side backpressure, and graceful drain.
 //
+// Every connection opens with the HELLO handshake (internal/proto): the
+// server refuses a peer that does not ask for protocol v2 with checksums and
+// streamed scans, and seals every frame after it.
+//
 // Concurrency model, per connection:
 //
 //	read loop ──decode──► handle (index op) ──encode──► out chan ──► write loop
@@ -133,14 +137,6 @@ type Config struct {
 	// served — the fault-injection seam (internal/fault.Injector.Wrap).
 	// Nil costs nothing.
 	WrapConn func(net.Conn) net.Conn
-
-	// DisableV2 makes the server behave byte-identically to a pre-v2 build:
-	// an OpHello (or any other v2 opcode) is answered exactly like an
-	// unknown opcode was before the handshake existed — StatusBadRequest and
-	// a closed connection — so a v2 client falls back to plain v1. It exists
-	// for the compat test matrix and as an operational escape hatch
-	// (dytis-server -disable-v2).
-	DisableV2 bool
 }
 
 // ErrOverload is the server-side name for an admission-control shed; it is

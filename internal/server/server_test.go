@@ -171,44 +171,28 @@ func TestMalformedFrame(t *testing.T) {
 	idx := core.New(smallOpts())
 	m := &server.Metrics{}
 	addr, _ := start(t, idx, server.Config{Metrics: m})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
+	nc := rawDial(t, addr)
 
-	// id=77, opcode=0xEE (unknown).
+	// id=77, opcode=0xEE (unknown), sealed so only the body is wrong.
 	body := binary.BigEndian.AppendUint64(nil, 77)
 	body = append(body, 0xEE)
 	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	frame = append(frame, body...)
+	frame = proto.SealFrame(append(frame, body...), 0)
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	respBody, _, err := proto.ReadFrame(nc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp proto.Response
-	if err := proto.DecodeResponse(respBody, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 77 || resp.Status != proto.StatusBadRequest {
+	if resp := rawRecv(t, nc); resp.ID != 77 || resp.Status != proto.StatusBadRequest {
 		t.Fatalf("resp = %+v, want id 77 status bad-request", resp)
 	}
-	// The connection must now close.
-	if _, _, err := proto.ReadFrame(nc, nil); err == nil {
-		t.Fatal("connection stayed open after protocol error")
-	}
+	requireClosed(t, nc, "a protocol error")
 	if m.ProtoErrors() != 1 {
 		t.Fatalf("ProtoErrors = %d want 1", m.ProtoErrors())
 	}
 }
 
 // TestConnLimitBackpressure: with MaxConns=1 a second client connects (the
-// kernel backlog accepts it) but is not served until the first leaves —
-// backpressure, not rejection.
+// kernel backlog accepts it) but is not served — its handshake waits — until
+// the first leaves: backpressure, not rejection.
 func TestConnLimitBackpressure(t *testing.T) {
 	idx := core.New(smallOpts())
 	addr, _ := start(t, idx, server.Config{MaxConns: 1})
@@ -222,21 +206,32 @@ func TestConnLimitBackpressure(t *testing.T) {
 	}
 
 	// TCP-accepted by the kernel backlog, but not served.
-	c2, err := client.Dial(addr, client.WithPoolSize(1))
-	if err != nil {
-		t.Fatalf("second dial should enter the backlog, got %v", err)
-	}
-	defer c2.Close()
-	shortCtx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if err := c2.Ping(shortCtx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("unserved conn's ping = %v, want DeadlineExceeded", err)
+	var c2 *client.Client
+	dialed := make(chan error, 1)
+	go func() {
+		var err error
+		c2, err = client.Dial(addr, client.WithPoolSize(1))
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		t.Fatalf("second dial finished while the only slot was taken: %v", err)
+	case <-time.After(200 * time.Millisecond):
 	}
 
 	c1.Close() // frees the slot
-	longCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := c2.Ping(longCtx); err != nil {
+	select {
+	case err := <-dialed:
+		if err != nil {
+			t.Fatalf("dial after slot freed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second dial still waiting after the slot was freed")
+	}
+	defer c2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c2.Ping(ctx); err != nil {
 		t.Fatalf("ping after slot freed: %v", err)
 	}
 }
@@ -247,23 +242,15 @@ func TestConnLimitBackpressure(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	idx := core.New(smallOpts())
 	addr, srv := start(t, idx, server.Config{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
+	nc := rawDial(t, addr)
 
 	const n = 200
-	var out []byte
-	for i := uint64(1); i <= n; i++ {
-		out, err = proto.AppendRequest(out, &proto.Request{ID: i, Op: proto.OpInsert, Key: i, Val: i})
-		if err != nil {
-			t.Fatal(err)
-		}
+	reqs := make([]proto.Request, n)
+	for i := range reqs {
+		k := uint64(i + 1)
+		reqs[i] = proto.Request{ID: k, Op: proto.OpInsert, Key: k, Val: k}
 	}
-	if _, err := nc.Write(out); err != nil {
-		t.Fatal(err)
-	}
+	rawSend(t, nc, reqs...)
 	// Give the server a moment to buffer the burst, then drain.
 	time.Sleep(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -276,13 +263,13 @@ func TestGracefulDrain(t *testing.T) {
 	got := 0
 	var buf []byte
 	for {
-		var body []byte
-		body, buf, err = proto.ReadFrame(nc, buf)
+		body, nbuf, err := proto.ReadFrameCRC(nc, buf)
+		buf = nbuf
 		if err != nil {
 			break // EOF once the drained conn closes
 		}
 		var resp proto.Response
-		if err := proto.DecodeResponse(body, &resp); err != nil {
+		if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Status != proto.StatusOK {
@@ -306,25 +293,25 @@ func TestGracefulDrain(t *testing.T) {
 func TestSlowReaderBackpressure(t *testing.T) {
 	idx := core.New(smallOpts())
 	addr, _ := start(t, idx, server.Config{Pipeline: 8})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
+	nc := rawDial(t, addr)
 
-	// A burst of scans with fat responses, written without reading anything:
-	// response bytes >> request bytes, so the server-side queue and socket
-	// buffers fill long before the burst is consumed.
-	for k := uint64(0); k < 2000; k++ {
-		idx.Insert(k, k)
+	// A burst of batch lookups with fat responses (~4.6 KiB each, ~9 MiB in
+	// all), written without reading anything: the server-side queue and
+	// socket buffers fill long before the burst is consumed.
+	const burst, batch = 2000, 512
+	keys := make([]uint64, batch)
+	for k := range keys {
+		keys[k] = uint64(k)
+		idx.Insert(uint64(k), uint64(k))
 	}
-	const burst = 2000
 	var out []byte
 	for i := uint64(1); i <= burst; i++ {
-		out, err = proto.AppendRequest(out, &proto.Request{ID: i, Op: proto.OpScan, Key: 0, Max: 512})
-		if err != nil {
+		start := len(out)
+		var err error
+		if out, err = proto.AppendRequest(out, &proto.Request{ID: i, Op: proto.OpGetBatch, Keys: keys}); err != nil {
 			t.Fatal(err)
 		}
+		out = proto.SealFrame(out, start)
 	}
 	wrote := make(chan error, 1)
 	go func() {
@@ -352,16 +339,16 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	var buf []byte
 	var resp proto.Response
 	for want := uint64(1); want <= burst; want++ {
-		body, nbuf, err := proto.ReadFrame(nc, buf)
+		body, nbuf, err := proto.ReadFrameCRC(nc, buf)
 		buf = nbuf
 		if err != nil {
 			t.Fatalf("reading response %d: %v", want, err)
 		}
-		if err := proto.DecodeResponse(body, &resp); err != nil {
+		if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
 			t.Fatal(err)
 		}
-		if resp.ID != want || resp.Status != proto.StatusOK || len(resp.Keys) != 512 {
-			t.Fatalf("response %d: id=%d status=%d keys=%d", want, resp.ID, resp.Status, len(resp.Keys))
+		if resp.ID != want || resp.Status != proto.StatusOK || len(resp.Vals) != batch || resp.Vals[batch-1] != batch-1 {
+			t.Fatalf("response %d: id=%d status=%d vals=%d", want, resp.ID, resp.Status, len(resp.Vals))
 		}
 	}
 	if err := <-wrote; err != nil {
