@@ -612,32 +612,6 @@ func (c *Client) Delete(ctx context.Context, key uint64) (bool, error) {
 	return resp.Found, nil
 }
 
-// Scan returns up to max pairs with key >= start in ascending key order, as
-// parallel key/value slices. max is capped by the protocol at proto.MaxScan
-// (65536); page with the last key + 1 to go further.
-//
-// Deprecated: Scan materializes the whole result before returning. Use
-// ScanStream, which streams the pairs in bounded chunks with no size cap;
-// Scan is now a thin wrapper over it.
-func (c *Client) Scan(ctx context.Context, start uint64, max int) (keys, vals []uint64, err error) {
-	if max <= 0 {
-		return nil, nil, nil
-	}
-	if max > proto.MaxScan {
-		max = proto.MaxScan
-	}
-	s := c.ScanStream(ctx, start, max)
-	defer s.Close()
-	for s.Next() {
-		keys = append(keys, s.Key())
-		vals = append(vals, s.Value())
-	}
-	if err := s.Err(); err != nil {
-		return nil, nil, err
-	}
-	return keys, vals, nil
-}
-
 // GetBatch looks up every key of keys in one round trip, returning parallel
 // result slices (vals[i], found[i] answer keys[i]). At most proto.MaxBatch
 // (65536) keys per call.

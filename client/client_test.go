@@ -308,7 +308,7 @@ func TestConcurrentInsertsVsScans(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < scanRounds; i++ {
 				start := uint64(i * 37 % (writers * perWriter))
-				keys, vals, err := c.Scan(ctx, start, 256)
+				keys, vals, err := drainScan(c.ScanStream(ctx, start, 256))
 				if err != nil {
 					t.Errorf("scanner %d: %v", s, err)
 					return

@@ -336,7 +336,7 @@ func TestClientClosedTyped(t *testing.T) {
 	_, err = c.Delete(ctx, 1)
 	checks["Delete"] = err
 	checks["Ping"] = c.Ping(ctx)
-	_, _, err = c.Scan(ctx, 0, 10)
+	_, _, err = drainScan(c.ScanStream(ctx, 0, 10))
 	checks["Scan"] = err
 	_, _, err = c.GetBatch(ctx, []uint64{1})
 	checks["GetBatch"] = err

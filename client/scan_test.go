@@ -29,18 +29,28 @@ func serve(t *testing.T, idx *core.DyTIS) string {
 // collectStream drains a Scanner, checking order, and returns its pairs.
 func collectStream(t *testing.T, s *client.Scanner) (keys, vals []uint64) {
 	t.Helper()
+	keys, vals, err := drainScan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			t.Fatalf("scan out of order: %#x then %#x", keys[i-1], keys[i])
+		}
+	}
+	return keys, vals
+}
+
+// drainScan pulls s to its end and closes it, returning the pairs as
+// parallel key/value slices and the scan's error. It is safe to call from
+// any goroutine.
+func drainScan(s *client.Scanner) (keys, vals []uint64, err error) {
 	defer s.Close()
 	for s.Next() {
-		if n := len(keys); n > 0 && keys[n-1] >= s.Key() {
-			t.Fatalf("scan out of order: %#x then %#x", keys[n-1], s.Key())
-		}
 		keys = append(keys, s.Key())
 		vals = append(vals, s.Value())
 	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return keys, vals
+	return keys, vals, s.Err()
 }
 
 // withScanClient runs f, as the "v2-stream" subtest, against a fresh server
@@ -138,36 +148,6 @@ func TestScanStreamTopOfKeyspace(t *testing.T) {
 		}
 		if len(keys) != 2 || keys[0] != top-1 || keys[1] != top {
 			t.Fatalf("scan from top-1 = %#x, want [top-1, top]", keys)
-		}
-	})
-}
-
-// TestScanWrapperEquivalence: the deprecated Scan must return exactly what
-// the Scanner yields, including its legacy edge cases.
-func TestScanWrapperEquivalence(t *testing.T) {
-	withScanClient(t, func(t *testing.T, c *client.Client) {
-		ctx := context.Background()
-		for k := uint64(0); k < 1000; k++ {
-			if err := c.Insert(ctx, k, k+5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		keys, vals, err := c.Scan(ctx, 10, 600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sKeys, sVals := collectStream(t, c.ScanStream(ctx, 10, 600))
-		if len(keys) != len(sKeys) || len(keys) != 600 {
-			t.Fatalf("Scan %d pairs vs ScanStream %d, want 600", len(keys), len(sKeys))
-		}
-		for i := range keys {
-			if keys[i] != sKeys[i] || vals[i] != sVals[i] {
-				t.Fatalf("pair %d: Scan %d/%d vs ScanStream %d/%d", i, keys[i], vals[i], sKeys[i], sVals[i])
-			}
-		}
-		// max <= 0 keeps its historical "no pairs" meaning on the wrapper.
-		if keys, vals, err := c.Scan(ctx, 0, 0); err != nil || keys != nil || vals != nil {
-			t.Fatalf("Scan(max=0) = %v,%v,%v, want nils", keys, vals, err)
 		}
 	})
 }

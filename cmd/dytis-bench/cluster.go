@@ -19,11 +19,12 @@ import (
 )
 
 // The cluster experiment measures sharded serving end to end: bulk load,
-// point reads, and the scatter-gather full scan, through the routed client
-// against an N-shard cluster, next to the same workload against one server
-// through the plain client. In-process shards (the default) share one
-// machine's cores, so the interesting read is serving overhead and the
-// scan's k-way merge; true multi-process scaling comes from -cluster-addrs
+// point reads, and the chained full scan (one shard's stream after the
+// next, in map order), through the routed client against an N-shard
+// cluster, next to the same workload against one server through the plain
+// client. In-process shards (the default) share one machine's cores, so the
+// interesting read is serving overhead and the scan's shard-to-shard
+// hand-offs; true multi-process scaling comes from -cluster-addrs
 // pointed at separately launched dytis-server -shard processes (see
 // EXPERIMENTS.md for the 3-process recipe).
 var (
@@ -313,7 +314,7 @@ func runClusterCell(config string, shards int, addrs []string) (clusterCell, err
 	cell.GetMops = float64(perR**clusterClients) / getWall.Seconds() / 1e6
 	cell.GetMs = getWall.Milliseconds()
 
-	// Full ordered scan: single stream vs the scatter-gather k-way merge.
+	// Full ordered scan: one server's stream vs the chain of shard streams.
 	t0 = time.Now()
 	s := scan()
 	count, last, ordered := 0, uint64(0), true

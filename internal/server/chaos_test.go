@@ -335,7 +335,7 @@ func chaosWorker(t *testing.T, addr string, id, nclients, keySpace, ops int, see
 			book(completed, failed, err)
 		case p < 95: // scan: ordered page, owned pairs consistent
 			start := uint64(rng.Intn(keySpace * nclients))
-			keys, vals, err := c.Scan(ctx, start, 32)
+			keys, vals, err := drainScan(c.ScanStream(ctx, start, 32))
 			if err == nil {
 				for j, k := range keys {
 					if k < start {
@@ -435,7 +435,7 @@ func verifyChaosReadback(t *testing.T, addr string, nclients int, oracles []*cha
 	seen := make(map[uint64]uint64)
 	var start uint64
 	for {
-		keys, vals, err := c.Scan(ctx, start, 512)
+		keys, vals, err := drainScan(c.ScanStream(ctx, start, 512))
 		if err != nil {
 			t.Fatalf("clean readback Scan(%#x): %v", start, err)
 		}
@@ -741,6 +741,20 @@ func (p *panicIndex) Get(k uint64) (uint64, bool) {
 	return p.Index.Get(k)
 }
 
+// closeSignalConn closes closed on the first Close of any connection that
+// shares once.
+type closeSignalConn struct {
+	net.Conn
+	closed chan struct{}
+	once   *sync.Once
+}
+
+func (c *closeSignalConn) Close() error {
+	err := c.Conn.Close()
+	c.once.Do(func() { close(c.closed) })
+	return err
+}
+
 func TestPanicRecovery(t *testing.T) {
 	const magic = ^uint64(0)
 	d := core.New(smallOpts())
@@ -756,7 +770,21 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	defer bystander.Close()
 
-	c, err := client.Dial(addr, client.WithReconnect(4, time.Millisecond, 10*time.Millisecond))
+	// The server closes the panicking connection right after its ERR
+	// answer; the client marks that connection dead before it closes the
+	// socket, so once the close is seen, the recovery traffic below is sure
+	// to take a fresh connection instead of racing the EOF.
+	closed := make(chan struct{})
+	var closeOnce sync.Once
+	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
+		nc, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return &closeSignalConn{Conn: nc, closed: closed, once: &closeOnce}, nil
+	}
+	c, err := client.Dial(addr, client.WithPoolSize(1), client.WithDialer(dial),
+		client.WithReconnect(4, time.Millisecond, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,6 +800,11 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if m.Panics() != 1 {
 		t.Fatalf("Panics = %d, want 1", m.Panics())
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("client never closed the connection the server dropped")
 	}
 
 	// The same client recovers over a fresh connection...

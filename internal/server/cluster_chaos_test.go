@@ -179,8 +179,8 @@ func startUpdater(ctx context.Context, cl *client.Cluster, o *ackOracle, keys []
 	}()
 }
 
-// verifyAckOracle checks zero acked-write loss: the full scatter-gather
-// scan must equal the oracle pair-for-pair (requireClusterOracle also
+// verifyAckOracle checks zero acked-write loss: the full chained scan must
+// equal the oracle pair-for-pair (requireClusterOracle also
 // cross-checks Len and every key by point Get).
 func verifyAckOracle(t *testing.T, cl *client.Cluster, o *ackOracle) {
 	t.Helper()

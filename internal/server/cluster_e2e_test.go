@@ -159,7 +159,7 @@ func startCluster(t *testing.T, n int) []*shardProc {
 func spread(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
 
 // requireClusterOracle reads the whole cluster back through the routed
-// client — full scatter-gather scan plus a point Get per key — and requires
+// client — full chained scan plus a point Get per key — and requires
 // byte-for-byte agreement with the oracle.
 func requireClusterOracle(t *testing.T, cl *client.Cluster, oracle map[uint64]uint64) {
 	t.Helper()

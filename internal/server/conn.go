@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dytis/internal/cluster"
+	"dytis/internal/kv"
 	"dytis/internal/proto"
 )
 
@@ -38,9 +39,11 @@ type conn struct {
 	// loop starts.
 	feats uint32
 
-	// Streaming-scan state (scan.go). scanStop is closed when the read loop
-	// exits; every scan goroutine joins through scanWg before the out
-	// channel closes, so a stream can always complete its pending send.
+	// Streaming-scan state (scan.go). The read loop serves every stream's
+	// first page itself; only a stream that outlives it gets a goroutine and
+	// an entry in scans. scanStop is closed when the read loop exits; every
+	// scan goroutine joins through scanWg before the out channel closes, so a
+	// stream can always complete its pending send.
 	scanMu   sync.Mutex
 	scans    map[uint64]*scanStream // guarded-by: scanMu
 	scanWg   sync.WaitGroup
@@ -64,7 +67,16 @@ type conn struct {
 	// the next response into one instead of allocating. Capacity Pipeline,
 	// like out: every frame that can be queued has a place to come back to.
 	free chan []byte
+
+	// scanBuf is the read loop's page scratch for first scan pages (its
+	// chunk's Keys/Vals live in resp). Kept last for the layout reason above.
+	scanBuf []kv.KV
 }
+
+// closeAfterFlush, queued on the out channel by a scan stream whose page
+// failed, tells the write loop to flush what is queued ahead of it and close
+// the connection.
+var closeAfterFlush []byte
 
 // maxKeptFrame caps the frames the free list keeps: a bigger one (a large
 // scan chunk or batch reply) is left to the collector, so a connection's
@@ -346,51 +358,11 @@ func (c *conn) handle(arrival time.Time) bool {
 		Keys: resp.Keys[:0], Vals: resp.Vals[:0], Founds: resp.Founds[:0],
 	}
 
-	// budget is the request's propagated deadline, zero when none.
-	var budget time.Duration
-	if req.TimeoutMS > 0 {
-		budget = time.Duration(req.TimeoutMS) * time.Millisecond
+	if st := c.admit(arrival); st != proto.StatusOK {
+		return c.shed(st, resp)
 	}
-
-	// Admission control: acquire an execution slot, waiting at most the
-	// retry-after window — or the request's own remaining deadline budget,
-	// whichever ends first — then shed instead of queueing unboundedly.
-	// The shed status says why: StatusOverload ("back off and retry") when
-	// the window ran out, StatusDeadlineExceeded when the caller's budget
-	// did (nobody is waiting for that answer anymore).
 	g := c.srv.inflight
 	if g != nil {
-		select {
-		case g <- struct{}{}:
-		default:
-			wait := cfg.RetryAfter
-			overload := true
-			if budget > 0 {
-				if rem := budget - time.Since(arrival); rem < wait {
-					wait, overload = rem, false
-				}
-			}
-			if wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case g <- struct{}{}:
-					t.Stop()
-					goto admitted
-				case <-t.C:
-				}
-			}
-			if !overload {
-				return c.shedDeadline(req, resp)
-			}
-			if m := cfg.Metrics; m != nil {
-				m.overload()
-			}
-			resp.Status = proto.StatusOverload
-			resp.Msg = cfg.RetryAfter.String()
-			resp.RetryAfterMS = uint32(cfg.RetryAfter.Milliseconds())
-			return c.send(resp)
-		}
-	admitted:
 		// Released when handle returns — unless the request is submitted
 		// below, which hands the slot on to the pending mutation.
 		defer func() {
@@ -398,13 +370,6 @@ func (c *conn) handle(arrival time.Time) bool {
 				<-g
 			}
 		}()
-	}
-
-	// A request whose budget expired before execution is shed, not served:
-	// its caller has already timed out, and answering late with real data
-	// would only burn index work nobody can use.
-	if budget > 0 && time.Since(arrival) > budget {
-		return c.shedDeadline(req, resp)
 	}
 
 	t0 := time.Now()
@@ -429,13 +394,69 @@ func (c *conn) handle(arrival time.Time) bool {
 	return ok
 }
 
-// shedDeadline answers a request whose propagated deadline already expired.
-func (c *conn) shedDeadline(req *proto.Request, resp *proto.Response) bool {
-	if m := c.srv.cfg.Metrics; m != nil {
-		m.deadlineShed()
+// admit takes an admission slot (MaxInflight) for c.req, waiting at most the
+// retry-after window — or the request's own remaining deadline budget,
+// whichever ends first — instead of queueing unboundedly. It returns
+// StatusOK with the slot held (or with no MaxInflight configured), else the
+// shed status: StatusOverload ("back off and retry") when the window ran
+// out, StatusDeadlineExceeded when the caller's budget did (nobody is
+// waiting for that answer anymore). A request whose budget expired before
+// execution is shed too, not served: answering late with real data would
+// only burn index work nobody can use.
+func (c *conn) admit(arrival time.Time) proto.Status {
+	// budget is the request's propagated deadline, zero when none.
+	var budget time.Duration
+	if c.req.TimeoutMS > 0 {
+		budget = time.Duration(c.req.TimeoutMS) * time.Millisecond
 	}
-	resp.Status = proto.StatusDeadlineExceeded
-	resp.Msg = "deadline budget expired before execution"
+	g := c.srv.inflight
+	if g != nil {
+		select {
+		case g <- struct{}{}:
+		default:
+			wait, st := c.srv.cfg.RetryAfter, proto.StatusOverload
+			if budget > 0 {
+				if rem := budget - time.Since(arrival); rem < wait {
+					wait, st = rem, proto.StatusDeadlineExceeded
+				}
+			}
+			if wait <= 0 {
+				return st
+			}
+			t := time.NewTimer(wait)
+			select {
+			case g <- struct{}{}:
+				t.Stop()
+			case <-t.C:
+				return st
+			}
+		}
+	}
+	if budget > 0 && time.Since(arrival) > budget {
+		if g != nil {
+			<-g
+		}
+		return proto.StatusDeadlineExceeded
+	}
+	return proto.StatusOK
+}
+
+// shed answers a request admit refused with its shed status st.
+func (c *conn) shed(st proto.Status, resp *proto.Response) bool {
+	m := c.srv.cfg.Metrics
+	resp.Status = st
+	if st == proto.StatusOverload {
+		if m != nil {
+			m.overload()
+		}
+		resp.Msg = c.srv.cfg.RetryAfter.String()
+		resp.RetryAfterMS = uint32(c.srv.cfg.RetryAfter.Milliseconds())
+	} else {
+		if m != nil {
+			m.deadlineShed()
+		}
+		resp.Msg = "deadline budget expired before execution"
+	}
 	return c.send(resp)
 }
 
@@ -614,20 +635,27 @@ func batchSize(req *proto.Request) int {
 	return 1
 }
 
-// send encodes and seals resp and queues it on the out channel, blocking
-// when the write loop is backed up (the read side of the backpressure
-// chain). It is called by the read loop and by scan-stream goroutines; each
-// caller passes its own Response.
+// send encodes and seals resp and queues it on the out channel (see
+// enqueue). It is called by the read loop and by the goroutines of scan
+// streams that outlive their first page; each caller passes its own
+// Response.
 func (c *conn) send(resp *proto.Response) bool {
 	frame, ok := c.appendFrame(c.takeFrame(), resp)
 	if !ok {
 		return false
 	}
+	c.enqueue(frame)
+	return true
+}
+
+// enqueue queues one or more sealed frames, as one item, on the out channel,
+// blocking when the write loop is backed up (the read side of the
+// backpressure chain).
+func (c *conn) enqueue(frame []byte) {
 	if n := c.queued.Add(int64(len(frame))); c.srv.cfg.Metrics != nil {
 		c.srv.cfg.Metrics.noteOutQueue(n)
 	}
 	c.out <- frame
-	return true
 }
 
 // takeFrame returns an empty frame the write loop is done with, nil when
@@ -670,6 +698,12 @@ func (c *conn) writeLoop(done chan<- struct{}) {
 		frame, ok := c.nextFrame()
 		if !ok {
 			break
+		}
+		if frame == nil { // closeAfterFlush
+			bw.Flush()
+			c.nc.Close() // unwedge the read loop
+			c.drainOut()
+			return
 		}
 		if _, err := bw.Write(frame); err != nil {
 			c.nc.Close() // unwedge the read loop too

@@ -95,7 +95,7 @@ func TestE2EMultiClientOracle(t *testing.T) {
 						return
 					}
 				default: // scan: must observe a well-formed ordered page
-					keys, _, err := c.Scan(ctx, uint64(rng.Intn(keySpace)), 64)
+					keys, _, err := drainScan(c.ScanStream(ctx, uint64(rng.Intn(keySpace)), 64))
 					if err != nil {
 						t.Errorf("client %d: scan: %v", id, err)
 						return
@@ -140,7 +140,7 @@ func TestE2EMultiClientOracle(t *testing.T) {
 	var got int
 	start := uint64(0)
 	for {
-		keys, vals, err := c.Scan(ctx, start, 512)
+		keys, vals, err := drainScan(c.ScanStream(ctx, start, 512))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,6 +51,18 @@ func start(t *testing.T, idx *core.DyTIS, cfg server.Config) (string, *server.Se
 	return ln.Addr().String(), srv
 }
 
+// drainScan pulls s to its end and closes it, returning the pairs as
+// parallel key/value slices and the scan's error. It is safe to call from
+// any goroutine.
+func drainScan(s *client.Scanner) (keys, vals []uint64, err error) {
+	defer s.Close()
+	for s.Next() {
+		keys = append(keys, s.Key())
+		vals = append(vals, s.Value())
+	}
+	return keys, vals, s.Err()
+}
+
 func requireSound(t *testing.T, d *core.DyTIS) {
 	t.Helper()
 	if vs := check.Check(d); len(vs) != 0 {
@@ -93,7 +105,7 @@ func TestServeBasicOps(t *testing.T) {
 	if n, _ := c.Len(ctx); n != 99 {
 		t.Fatalf("Len = %d want 99", n)
 	}
-	keys, vals, err := c.Scan(ctx, 0, 10)
+	keys, vals, err := drainScan(c.ScanStream(ctx, 0, 10))
 	if err != nil || len(keys) != 10 {
 		t.Fatalf("Scan returned %d keys, err %v", len(keys), err)
 	}
