@@ -65,7 +65,6 @@ var (
 	pipeline    = flag.Int("pipeline", 128, "per-connection response queue depth")
 
 	shutdownFlag = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget before connections are closed forcibly")
-	drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "deprecated alias for -shutdown-timeout")
 
 	idleTimeout  = flag.Duration("idle-timeout", 0, "max time a connection may sit between requests (0 = unlimited)")
 	readTimeout  = flag.Duration("read-timeout", 0, "max time to receive one request frame after its header arrives — slow-loris defense (0 = unlimited)")
@@ -73,25 +72,13 @@ var (
 	maxInflight  = flag.Int("max-inflight", 0, "cap on requests executing at once; excess is shed with an overload answer (0 = no admission control)")
 	retryAfter   = flag.Duration("retry-after", 100*time.Millisecond, "retry hint sent with overload answers, and the slot wait for requests without a deadline")
 
-	shardFlag = flag.String("shard", "", `owned key range, making this a cluster shard server: "lo:hi" (inclusive, 0x-prefixed hex or decimal) or "i/n" (i-th of n uniform shards, 0-based); "none" owns nothing (a fresh node awaiting handover). Empty = single-server mode, whole key space, no cluster opcodes`)
+	shardFlag = flag.String("shard", "", `owned key range, making this a cluster shard server: "lo:hi" (inclusive, 0x-prefixed hex or decimal) or "i/n" (i-th of n uniform shards, 0-based); "none" owns nothing (a fresh node awaiting handover). Empty = standalone server: the whole key space, no shard map, no cluster opcodes`)
 
 	walDir     = flag.String("wal-dir", "", "directory for the write-ahead log and checkpoints; the index recovers from it at startup (empty = in-memory only, no durability)")
 	fsyncFlag  = flag.String("fsync", "interval", "WAL fsync policy with -wal-dir: off|interval|always (always = every acked write is on stable storage before the response)")
 	fsyncEvery = flag.Duration("fsync-interval", 50*time.Millisecond, "background WAL sync cadence under -fsync interval")
 	ckptEvery  = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence with -wal-dir, in addition to the 64 MiB size trigger (0 = size-triggered only)")
 )
-
-// shutdownBudget resolves -shutdown-timeout against its deprecated alias:
-// an explicitly set -drain-timeout still works, -shutdown-timeout wins when
-// both are given.
-func shutdownBudget() time.Duration {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if !set["shutdown-timeout"] && set["drain-timeout"] {
-		return *drainFlag
-	}
-	return *shutdownFlag
-}
 
 func main() {
 	flag.Parse()
@@ -204,7 +191,7 @@ func main() {
 
 	var metricsSrv *http.Server
 	if *metricsFlag != "" {
-		metricsSrv = &http.Server{Addr: *metricsFlag, Handler: metricsHandler(ob, sm, wm, srv, node)}
+		metricsSrv = &http.Server{Addr: *metricsFlag, Handler: metricsHandler(ob, sm, wm, srv)}
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "metrics:", err)
@@ -229,7 +216,7 @@ func main() {
 	}
 
 	fmt.Println("signal received; draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), shutdownBudget())
+	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownFlag)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "drain incomplete: %v (%d connection(s) force-closed)\n", err, sm.ForcedCloses())
@@ -257,7 +244,7 @@ func main() {
 // so index-op latency, structure events, server request latency, and WAL
 // activity read as one page, plus the /healthz readiness probe backed by
 // srv.Ready.
-func metricsHandler(ob *obs.Observer, sm *server.Metrics, wm *dytis.WALMetrics, srv *server.Server, node *cluster.Node) http.Handler {
+func metricsHandler(ob *obs.Observer, sm *server.Metrics, wm *dytis.WALMetrics, srv *server.Server) http.Handler {
 	obH := ob.Handler()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -268,7 +255,7 @@ func metricsHandler(ob *obs.Observer, sm *server.Metrics, wm *dytis.WALMetrics, 
 			wm.WritePrometheus(w)
 		}
 	})
-	mux.Handle("/healthz", server.HealthHandler(srv, node))
+	mux.Handle("/healthz", server.HealthHandler(srv))
 	mux.Handle("/debug/vars", obH)
 	mux.Handle("/vars", obH)
 	mux.Handle("/", obH)

@@ -11,9 +11,9 @@ import (
 	"dytis/internal/kv"
 )
 
-// Index is the index surface a Node wraps — the same shape as
-// server.Index (the package is declared here to avoid an import cycle:
-// server imports cluster). It must be safe for concurrent use.
+// Index is the index surface a Node wraps, and the one the server serves:
+// server.Index is an alias of it, since every server serves through a Node.
+// It must be safe for concurrent use.
 type Index interface {
 	Get(key uint64) (uint64, bool)
 	Insert(key, value uint64)
@@ -298,40 +298,48 @@ func (n *Node) Get(key uint64) (uint64, bool, error) {
 // synchronously mirrored to the new owner before the ack — the invariant
 // that makes cutover lossless.
 func (n *Node) Insert(key, val uint64) error {
-	n.mu.RLock()
-	if !n.ownsLocked(key) {
-		err := n.wrongShardLocked(key)
-		n.mu.RUnlock()
-		return err
+	mirror, err := n.applyOwned(func() { n.idx.Insert(key, val) }, key)
+	if mirror {
+		_, err = n.mirroredWrite(false, key, val)
 	}
-	if ho := n.ho; ho != nil && ho.covers(key) && ho.state != HandoverDone {
-		n.mu.RUnlock()
-		_, err := n.mirroredWrite(false, key, val)
-		return err
-	}
-	// Holding mu across the apply pins the ownership check: SetMap (which
-	// takes mu exclusively) cannot de-own and scrub between check and write,
-	// so an acked write can never land in a range another node now owns.
-	n.idx.Insert(key, val)
-	n.mu.RUnlock()
-	return nil
+	return err
 }
 
 // Delete applies a delete; same slow-path rules as Insert.
 func (n *Node) Delete(key uint64) (bool, error) {
-	n.mu.RLock()
-	if !n.ownsLocked(key) {
-		err := n.wrongShardLocked(key)
-		n.mu.RUnlock()
-		return false, err
-	}
-	if ho := n.ho; ho != nil && ho.covers(key) && ho.state != HandoverDone {
-		n.mu.RUnlock()
+	var found bool
+	mirror, err := n.applyOwned(func() { found = n.idx.Delete(key) }, key)
+	if mirror {
 		return n.mirroredWrite(true, key, 0)
 	}
-	found := n.idx.Delete(key)
-	n.mu.RUnlock()
-	return found, nil
+	return found, err
+}
+
+// applyOwned is the write fast path: it checks keys under mu and, when every
+// one is owned and none is inside a live handover's moving range, runs apply
+// still holding mu. Holding mu across the apply pins the ownership check:
+// SetMap (which takes mu exclusively) cannot de-own and scrub between check
+// and write, so an acked write can never land in a range another node now
+// owns. mirror reports that some key is moving; nothing was applied and the
+// caller takes mirroredWrite. The unlock is deferred because apply may
+// panic (a poisoned durable store fails its synchronous writes that way):
+// a read lock left held would wedge the next SetMap, and every reader
+// queued behind it.
+func (n *Node) applyOwned(apply func(), keys ...uint64) (mirror bool, err error) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, k := range keys {
+		if !n.ownsLocked(k) {
+			return false, n.wrongShardLocked(k)
+		}
+		if ho := n.ho; ho != nil && ho.covers(k) && ho.state != HandoverDone {
+			mirror = true
+		}
+	}
+	if !mirror {
+		apply()
+	}
+	return mirror, nil
 }
 
 // mirroredWrite is the moving-range slow path: one write applied locally
@@ -432,24 +440,14 @@ func (n *Node) GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, [
 // InsertBatch applies a batched write, falling to the serialized mirror
 // path when any key is inside a live handover's moving range.
 func (n *Node) InsertBatch(keys, vals []uint64) error {
-	n.mu.RLock()
-	slow := false
-	for _, k := range keys {
-		if !n.ownsLocked(k) {
-			err := n.wrongShardLocked(k)
-			n.mu.RUnlock()
-			return err
-		}
-		if ho := n.ho; ho != nil && ho.covers(k) && ho.state != HandoverDone {
-			slow = true
-		}
+	var err error
+	mirror, ownErr := n.applyOwned(func() { err = n.idx.InsertBatch(keys, vals) }, keys...)
+	if ownErr != nil {
+		return ownErr
 	}
-	if !slow {
-		err := n.idx.InsertBatch(keys, vals)
-		n.mu.RUnlock()
+	if !mirror {
 		return err
 	}
-	n.mu.RUnlock()
 	for i, k := range keys {
 		if _, err := n.mirroredWrite(false, k, vals[i]); err != nil {
 			return err
@@ -461,25 +459,14 @@ func (n *Node) InsertBatch(keys, vals []uint64) error {
 // DeleteBatch applies a batched delete; same slow-path rules as
 // InsertBatch.
 func (n *Node) DeleteBatch(keys []uint64, found []bool) ([]bool, error) {
-	n.mu.RLock()
-	slow := false
-	for _, k := range keys {
-		if !n.ownsLocked(k) {
-			err := n.wrongShardLocked(k)
-			n.mu.RUnlock()
-			return found, err
-		}
-		if ho := n.ho; ho != nil && ho.covers(k) && ho.state != HandoverDone {
-			slow = true
-		}
+	var err error
+	mirror, ownErr := n.applyOwned(func() { found, err = n.idx.DeleteBatch(keys, found) }, keys...)
+	if ownErr != nil {
+		return found, ownErr
 	}
-	if !slow {
-		var err error
-		found, err = n.idx.DeleteBatch(keys, found)
-		n.mu.RUnlock()
+	if !mirror {
 		return found, err
 	}
-	n.mu.RUnlock()
 	found = found[:0]
 	for _, k := range keys {
 		f, err := n.mirroredWrite(true, k, 0)

@@ -256,6 +256,56 @@ func TestNodeOwnershipEnforced(t *testing.T) {
 	}
 }
 
+// panicIndex fails every mutation by panicking, as a poisoned durable store
+// fails its synchronous writes.
+type panicIndex struct{ *fakeIndex }
+
+func (panicIndex) Insert(uint64, uint64) { panic("poisoned") }
+func (panicIndex) Delete(uint64) bool    { panic("poisoned") }
+func (panicIndex) InsertBatch([]uint64, []uint64) error {
+	panic("poisoned")
+}
+func (panicIndex) DeleteBatch([]uint64, []bool) ([]bool, error) {
+	panic("poisoned")
+}
+
+// TestNodeMutationPanicReleasesLock: a mutation whose index panics, with
+// the panic recovered by the caller (as the server recovers it per
+// connection), must not leave the node's read lock held. A leaked read lock
+// blocks the next SetMap forever, and every reader queued behind it.
+func TestNodeMutationPanicReleasesLock(t *testing.T) {
+	n := mustNode(t, panicIndex{newFakeIndex()}, 0, ^uint64(0), nil)
+	for name, op := range map[string]func(){
+		"Insert":      func() { n.Insert(1, 1) },
+		"Delete":      func() { n.Delete(1) },
+		"InsertBatch": func() { n.InsertBatch([]uint64{1, 2}, []uint64{1, 2}) },
+		"DeleteBatch": func() { n.DeleteBatch([]uint64{1, 2}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: index panic did not propagate", name)
+				}
+			}()
+			op()
+		}()
+	}
+	m, _ := Uniform(2, []string{"self"})
+	done := make(chan error, 1)
+	go func() { done <- n.SetMap(0, ^uint64(0), m.Encode()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("SetMap after recovered panics: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("SetMap blocked 2s after recovered mutation panics: the read lock leaked")
+	}
+	if _, _, err := n.Get(1); err != nil {
+		t.Fatalf("Get after SetMap: %v", err)
+	}
+}
+
 func TestNodeScanClipsToRange(t *testing.T) {
 	idx := newFakeIndex()
 	for k := uint64(0); k < 300; k += 10 {

@@ -266,9 +266,9 @@ func (c *conn) hello() *proto.Response {
 	default:
 		c.feats = req.Feats & proto.AllFeatures
 		if c.srv.cfg.Cluster == nil {
-			// A non-cluster server must not advertise the cluster opcode
-			// family: granting it would invite opcodes the execute path
-			// cannot serve.
+			// A standalone server must not advertise the cluster opcode
+			// family: its own node owns the whole key space for good, and no
+			// map, handover, import or mirror may ever reach it.
 			c.feats &^= proto.FeatCluster
 		}
 		resp.Status, resp.Ver, resp.Feats = proto.StatusOK, proto.Version2, c.feats
@@ -290,9 +290,11 @@ func (c *conn) dispatch(arrival time.Time) bool {
 		proto.OpHandoverStart, proto.OpHandoverStatus,
 		proto.OpHandoverResume, proto.OpHandoverAbort, proto.OpImportResume,
 		proto.OpImportStart, proto.OpImportBatch, proto.OpImportEnd, proto.OpMirror:
-		// Cluster opcodes need the feature negotiated, which a non-cluster
+		// Cluster opcodes need the feature negotiated, which a standalone
 		// server never grants; a peer using them anyway is broken, so the
-		// connection quarantines like any other feature violation.
+		// connection quarantines like any other feature violation. Checking
+		// Cluster, not only the grant, keeps a standalone server's own node
+		// out of every cluster opcode's reach.
 		if c.srv.cfg.Cluster == nil || c.feats&proto.FeatCluster == 0 {
 			return c.refuse("cluster: feature not negotiated")
 		}
@@ -346,10 +348,10 @@ func (c *conn) reportReadErr(err error, stage string) {
 	}
 }
 
-// handle executes c.req against the index, books the server-side latency,
-// and queues the response; it reports whether the connection should go on.
-// arrival is when the request's frame finished arriving, the reference
-// point for its propagated deadline budget.
+// handle executes c.req against the server's node, books the server-side
+// latency, and queues the response; it reports whether the connection should
+// go on. arrival is when the request's frame finished arriving, the
+// reference point for its propagated deadline budget.
 func (c *conn) handle(arrival time.Time) bool {
 	cfg := &c.srv.cfg
 	req, resp := &c.req, &c.resp
@@ -460,9 +462,9 @@ func (c *conn) shed(st proto.Status, resp *proto.Response) bool {
 	return c.send(resp)
 }
 
-// execute runs one decoded request against the index, converting a panic
-// anywhere below (index bug, corrupted state) into an ERR response for this
-// request — the panic takes down one connection, never the process.
+// execute runs one decoded request against the server's node, converting a
+// panic anywhere below (index bug, corrupted state) into an ERR response for
+// this request — the panic takes down one connection, never the process.
 func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -476,76 +478,28 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 			}
 		}
 	}()
-	idx := c.srv.cfg.Index
-	node := c.srv.cfg.Cluster
+	node := c.srv.node
+	var err error
 	//dytis:opswitch requests group=serve
 	switch req.Op {
 	case proto.OpPing:
 	case proto.OpGet:
-		if node != nil {
-			v, found, err := node.Get(req.Key)
-			if err != nil {
-				c.clusterErr(resp, err)
-			} else {
-				resp.Val, resp.Found = v, found
-			}
-		} else {
-			resp.Val, resp.Found = idx.Get(req.Key)
-		}
+		resp.Val, resp.Found, err = node.Get(req.Key)
 	case proto.OpInsert:
-		if node != nil {
-			if err := node.Insert(req.Key, req.Val); err != nil {
-				c.clusterErr(resp, err)
-			}
-		} else {
-			idx.Insert(req.Key, req.Val)
-		}
+		err = node.Insert(req.Key, req.Val)
 	case proto.OpDelete:
-		if node != nil {
-			found, err := node.Delete(req.Key)
-			if err != nil {
-				c.clusterErr(resp, err)
-			} else {
-				resp.Found = found
-			}
-		} else {
-			resp.Found = idx.Delete(req.Key)
-		}
+		resp.Found, err = node.Delete(req.Key)
 	case proto.OpGetBatch:
-		if node != nil {
-			var err error
-			resp.Vals, resp.Founds, err = node.GetBatch(req.Keys, resp.Vals, resp.Founds)
-			if err != nil {
-				c.clusterErr(resp, err)
-			}
-		} else {
-			resp.Vals, resp.Founds = idx.GetBatch(req.Keys, resp.Vals, resp.Founds)
-		}
+		resp.Vals, resp.Founds, err = node.GetBatch(req.Keys, resp.Vals, resp.Founds)
 	case proto.OpInsertBatch:
-		var err error
-		if node != nil {
-			err = node.InsertBatch(req.Keys, req.Vals)
-		} else {
-			err = idx.InsertBatch(req.Keys, req.Vals)
-		}
-		if err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.InsertBatch(req.Keys, req.Vals)
 	case proto.OpDeleteBatch:
-		var err error
-		if node != nil {
-			resp.Founds, err = node.DeleteBatch(req.Keys, resp.Founds)
-		} else {
-			resp.Founds, err = idx.DeleteBatch(req.Keys, resp.Founds)
-		}
-		if err != nil {
-			c.clusterErr(resp, err)
-		}
+		resp.Founds, err = node.DeleteBatch(req.Keys, resp.Founds)
 	case proto.OpLen:
-		resp.Val = uint64(idx.Len())
+		resp.Val = uint64(node.Len())
 
-	// Cluster opcode family; dispatch admits these only on a cluster
-	// server with FeatCluster negotiated, so node is non-nil here.
+	// Cluster opcode family; dispatch admits these only on a shard server
+	// with FeatCluster negotiated, so node is Config.Cluster here.
 	case proto.OpShardInfo:
 		resp.Lo, resp.Hi, resp.Epoch, resp.State = node.Info()
 	case proto.OpMapGet:
@@ -556,13 +510,10 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 			resp.MapBlob = blob
 		}
 	case proto.OpMapSet:
-		if err := node.SetMap(req.Lo, req.Hi, req.MapBlob); err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.SetMap(req.Lo, req.Hi, req.MapBlob)
 	case proto.OpHandoverStart:
-		if err := node.StartHandover(req.Lo, req.Hi, req.Addr); err != nil {
-			c.clusterErr(resp, err)
-		} else if m := c.srv.cfg.Metrics; m != nil {
+		err = node.StartHandover(req.Lo, req.Hi, req.Addr)
+		if m := c.srv.cfg.Metrics; m != nil && err == nil {
 			m.handoverStarted()
 		}
 	case proto.OpHandoverStatus:
@@ -571,39 +522,24 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 		resp.Retries, resp.Resumes, resp.Watermark = info.Retries, info.Resumes, info.Watermark
 		resp.Lo, resp.Hi, resp.Addr = info.Lo, info.Hi, info.Target
 	case proto.OpHandoverResume:
-		if err := node.HandoverResume(); err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.HandoverResume()
 	case proto.OpHandoverAbort:
-		if err := node.HandoverAbort(); err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.HandoverAbort()
 	case proto.OpImportStart:
-		if err := node.ImportStart(req.Lo, req.Hi); err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.ImportStart(req.Lo, req.Hi)
 	case proto.OpImportResume:
-		fresh, applied, err := node.ImportResume(req.Lo, req.Hi)
-		if err != nil {
-			c.clusterErr(resp, err)
-		} else {
-			resp.Fresh, resp.Applied = fresh, applied
-		}
+		resp.Fresh, resp.Applied, err = node.ImportResume(req.Lo, req.Hi)
 	case proto.OpImportBatch:
-		applied, err := node.ImportBatch(req.Keys, req.Vals)
-		if err != nil {
-			c.clusterErr(resp, err)
-		} else {
-			resp.Applied = applied
-		}
+		resp.Applied, err = node.ImportBatch(req.Keys, req.Vals)
 	case proto.OpImportEnd:
-		if err := node.ImportEnd(req.Commit); err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.ImportEnd(req.Commit)
 	case proto.OpMirror:
-		if err := node.MirrorApply(req.Del, req.Key, req.Val); err != nil {
-			c.clusterErr(resp, err)
-		}
+		err = node.MirrorApply(req.Del, req.Key, req.Val)
+	}
+	if err != nil {
+		// An error response carries only its status, message and map, so
+		// whatever the node returned beside err is never encoded.
+		c.clusterErr(resp, err)
 	}
 	return false
 }
@@ -617,10 +553,7 @@ func (c *conn) clusterErr(resp *proto.Response, err error) {
 		if m := c.srv.cfg.Metrics; m != nil {
 			m.wrongShard()
 		}
-		resp.Status, resp.Msg = proto.StatusWrongShard, err.Error()
-		if node := c.srv.cfg.Cluster; node != nil {
-			resp.MapBlob = node.MapBlob()
-		}
+		resp.Status, resp.Msg, resp.MapBlob = proto.StatusWrongShard, err.Error(), c.srv.node.MapBlob()
 		return
 	}
 	resp.Status, resp.Msg = proto.StatusErr, err.Error()

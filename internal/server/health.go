@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-
-	"dytis/internal/cluster"
 )
 
 // healthBody is the /healthz response document. Status is "ok" while the
@@ -22,19 +20,19 @@ type healthShard struct {
 	Hi string `json:"hi"`
 }
 
-// HealthHandler serves the readiness probe: HTTP 200 with a small JSON body
+// HealthHandler serves s's readiness probe: HTTP 200 with a small JSON body
 // while the server is accepting and serving, 503 once it drains — the same
 // status contract the pre-cluster text endpoint had, so orchestration
-// probes keep working unchanged. node may be nil (a non-cluster server),
-// which omits the shard fields.
-func HealthHandler(s *Server, node *cluster.Node) http.Handler {
+// probes keep working unchanged. A shard server (Config.Cluster set) adds
+// its owned range and map epoch; a standalone server reports neither.
+func HealthHandler(s *Server) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body := healthBody{Status: "ok"}
 		code := http.StatusOK
 		if !s.Ready() {
 			body.Status, code = "draining", http.StatusServiceUnavailable
 		}
-		if node != nil {
+		if node := s.cfg.Cluster; node != nil {
 			lo, hi, epoch, _ := node.Info()
 			body.Epoch = epoch
 			body.Shard = &healthShard{Lo: fmt.Sprintf("%#x", lo), Hi: fmt.Sprintf("%#x", hi)}

@@ -47,7 +47,7 @@ func TestHealthzJSON(t *testing.T) {
 	_, srv := start(t, idx, server.Config{})
 	waitReady(t, srv)
 
-	h := server.HealthHandler(srv, nil)
+	h := server.HealthHandler(srv)
 	code, body, raw := probe(t, h)
 	if code != http.StatusOK {
 		t.Fatalf("serving healthz = %d, want 200", code)
@@ -79,7 +79,7 @@ func TestHealthzShardFields(t *testing.T) {
 	}
 	waitReady(t, p.srv)
 
-	code, body, _ := probe(t, server.HealthHandler(p.srv, p.node))
+	code, body, _ := probe(t, server.HealthHandler(p.srv))
 	if code != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", code)
 	}
@@ -106,7 +106,7 @@ func TestHealthzDraining(t *testing.T) {
 	cancel()
 	srv.Shutdown(ctx)
 
-	code, body, _ := probe(t, server.HealthHandler(srv, nil))
+	code, body, _ := probe(t, server.HealthHandler(srv))
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz = %d, want 503", code)
 	}

@@ -261,13 +261,13 @@ func (s *scanStream) run() {
 
 // scanPage runs one page of the stream at cur: the one page function of the
 // read loop (a stream's first page) and of run (every later one). It scans
-// the index, or the cluster node, from cur.next into *buf, books the page's
-// metrics, advances cur, and returns the page's out item: the sealed
-// OpScanChunk, followed by the sealed OpScanEnd when the page ends the
-// stream (done). resp is the caller's scratch for the chunk.
+// the node from cur.next into *buf, books the page's metrics, advances cur,
+// and returns the page's out item: the sealed OpScanChunk, followed by the
+// sealed OpScanEnd when the page ends the stream (done). resp is the
+// caller's scratch for the chunk.
 //
 // The caller holds an admission slot when MaxInflight is configured;
-// scanPage releases it once the index is done. A panic below (index bug) is
+// scanPage releases it once the node is done. A panic below (index bug) is
 // contained as execute contains one: the item is then an OpScanEnd with
 // StatusErr, and ok false tells the caller to close this one connection, as
 // it does after an encode failure (no item).
@@ -322,13 +322,9 @@ func (c *conn) scanPage(cur *scanCursor, buf *[]kv.KV, resp *proto.Response) (fr
 			return nil, true, false
 		}
 	}
-	done = rangeDone || len(pairs) < page || (cur.max > 0 && cur.delivered >= cur.max)
+	done = rangeDone || (cur.max > 0 && cur.delivered >= cur.max)
 	if !done {
-		if last := pairs[len(pairs)-1].Key; last == ^uint64(0) {
-			done = true // key space exhausted; last+1 would wrap to 0
-		} else {
-			cur.next = last + 1
-		}
+		cur.next = pairs[len(pairs)-1].Key + 1
 	}
 	if done {
 		frame = c.appendEnd(frame, cur, proto.StatusOK, "")
@@ -337,17 +333,15 @@ func (c *conn) scanPage(cur *scanCursor, buf *[]kv.KV, resp *proto.Response) (fr
 }
 
 // scanIndex reads one page of up to page pairs from cur.next into dst,
-// releasing the caller's admission slot as soon as the index is done, panic
-// or not. rangeDone is the cluster node's "owned range exhausted" signal; a
-// single-index scan learns the same thing from a short page only.
+// releasing the caller's admission slot as soon as the node is done, panic
+// or not. rangeDone is the node's "owned range exhausted" signal, which it
+// also gives for a short page: a page that reaches the top of the key space
+// ends the stream there, before cur.next could wrap.
 func (c *conn) scanIndex(cur *scanCursor, page int, dst []kv.KV) (_ []kv.KV, rangeDone bool, _ error) {
 	if g := c.srv.inflight; g != nil {
 		defer func() { <-g }()
 	}
-	if node := c.srv.cfg.Cluster; node != nil {
-		return node.Scan(cur.epoch, cur.next, page, dst)
-	}
-	return c.srv.cfg.Index.Scan(cur.next, page, dst), false, nil
+	return c.srv.node.Scan(cur.epoch, cur.next, page, dst)
 }
 
 // appendEnd appends the stream's sealed OpScanEnd frame to dst. The total
@@ -357,9 +351,7 @@ func (c *conn) scanIndex(cur *scanCursor, page int, dst []kv.KV) (_ []kv.KV, ran
 func (c *conn) appendEnd(dst []byte, cur *scanCursor, st proto.Status, msg string) []byte {
 	end := proto.Response{ID: cur.id, Op: proto.OpScanEnd, Status: st, Msg: msg, Val: cur.delivered}
 	if st == proto.StatusWrongShard {
-		if node := c.srv.cfg.Cluster; node != nil {
-			end.MapBlob = node.MapBlob()
-		}
+		end.MapBlob = c.srv.node.MapBlob()
 	}
 	dst, _ = c.appendFrame(dst, &end)
 	return dst

@@ -9,7 +9,13 @@
 //
 // Concurrency model, per connection:
 //
-//	read loop ──decode──► handle (index op) ──encode──► out chan ──► write loop
+//	read loop ──decode──► handle (node op) ──encode──► out chan ──► write loop
+//
+// A node op is a data operation served through the server's one
+// cluster.Node: a shard server's (Config.Cluster) or, on a standalone
+// server, one New builds that owns the whole key space and never gets a
+// map, so both kinds of server run one data path. Only a committing
+// backend's mutations on a standalone server bypass it (below).
 //
 // The read loop decodes and executes requests back-to-back without waiting
 // for the client to consume responses — that is what makes client-side
@@ -19,9 +25,9 @@
 // channel, which blocks the read loop, which fills the client's send window.
 // No per-connection buffering grows beyond the channel's Pipeline frames.
 //
-// On a backend whose mutations commit in groups (Committer — the durable
-// wal.Store adapter) a mutation leaves the read loop early and its response
-// joins the write loop late:
+// On a standalone server over a backend whose mutations commit in groups
+// (Committer — the durable wal.Store adapter) a mutation leaves the read
+// loop early and its response joins the write loop late:
 //
 //	read loop ──submit──► backend queue ──commit──► completion ──► acks chan ──► write loop
 //
@@ -36,7 +42,8 @@
 // connection's read-loop goroutine, the server is exactly the multi-client
 // adversarial workload the Concurrent index was built for: N connections =
 // N goroutines hammering Get/Insert/Delete/Scan (the optimistic read path
-// included) with no additional synchronization in this package.
+// included) with no synchronization in this package beyond the node's
+// shared read lock.
 //
 // Graceful drain (Shutdown): the listener closes first (no new
 // connections), then every connection's read deadline is pulled to "now".
@@ -58,7 +65,6 @@ import (
 	"time"
 
 	"dytis/internal/cluster"
-	"dytis/internal/kv"
 )
 
 // The serving stack promises deadline propagation end to end; ctxcheck
@@ -66,27 +72,22 @@ import (
 //
 //dytis:ctxcheck
 
-// Index is the index surface the server serves; *core.DyTIS (and therefore
-// the public dytis.Index) implements it, as does the durable wal.Store
-// adapter. The index must be safe for concurrent use: every connection
-// drives it from its own goroutine. The batch mutation paths may fail
-// (closed index, write-ahead-log append failure); a non-nil error is
-// answered as StatusErr on that request, nothing is retried server-side. An
-// Index that also implements Committer has its mutations submitted instead
-// of called (unless Config.Cluster wraps it).
-type Index interface {
-	Get(key uint64) (uint64, bool)
-	Insert(key, value uint64)
-	Delete(key uint64) bool
-	Scan(start uint64, max int, dst []kv.KV) []kv.KV
-	GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, []bool)
-	InsertBatch(keys, vals []uint64) error
-	DeleteBatch(keys []uint64, found []bool) ([]bool, error)
-	Len() int
-}
+// Index is the index surface the server serves, cluster.Index under the
+// server's name: *core.DyTIS (and therefore the public dytis.Index)
+// implements it, as does the durable wal.Store adapter. The index must be
+// safe for concurrent use: every connection drives it from its own
+// goroutine. The batch mutation paths may fail (closed index,
+// write-ahead-log append failure); a non-nil error is answered as StatusErr
+// on that request, nothing is retried server-side. On a standalone server
+// (no Config.Cluster), an Index that also implements Committer has its
+// mutations submitted instead of called.
+type Index = cluster.Index
 
 // Config configures a Server; Index is the only required field.
 type Config struct {
+	// Index is the served index. Every data operation reaches it through a
+	// cluster.Node: Cluster when set, else one the server builds over the
+	// whole key space.
 	Index Index
 	// MaxConns caps simultaneously served connections (default 256). At the
 	// cap, further clients queue in the kernel accept backlog instead of
@@ -104,8 +105,10 @@ type Config struct {
 	// Cluster, when non-nil, makes this a shard server: every data
 	// operation routes through the node's ownership check (out-of-range
 	// keys answer StatusWrongShard with the current map attached), and the
-	// cluster opcode family unlocks behind FeatCluster. Nil serves the
-	// whole key space exactly as before, and FeatCluster is never granted.
+	// cluster opcode family unlocks behind FeatCluster. Nil makes New build
+	// its own node over Index owning the whole key space: it never gets a
+	// map (no cluster opcode reaches it), so it never redirects, and
+	// FeatCluster is never granted.
 	Cluster *cluster.Node
 
 	// IdleTimeout bounds how long a connection may sit between requests
@@ -153,6 +156,10 @@ var ErrServerClosed = errors.New("server: closed")
 type Server struct {
 	cfg Config
 
+	// node serves every data operation: cfg.Cluster, or the whole-range
+	// node New built when that is nil.
+	node *cluster.Node
+
 	mu       sync.Mutex
 	ln       net.Listener       // guarded-by: mu
 	conns    map[*conn]struct{} // guarded-by: mu
@@ -164,10 +171,11 @@ type Server struct {
 	// a submitted mutation, until its commit completes.
 	inflight chan struct{}
 
-	// committer is cfg.Index's Committer side, nil when it has none or when a
-	// cluster node wraps the index (the node calls the synchronous methods).
-	// Non-nil switches every connection's mutations to the submitted path of
-	// commit.go.
+	// committer is cfg.Index's Committer side, nil when it has none or on a
+	// shard server (whose node calls the synchronous methods). Non-nil
+	// switches every connection's mutations to the submitted path of
+	// commit.go, past the server's own node: exact, since that node owns
+	// every key and never gets a map.
 	committer Committer
 
 	closed chan struct{} // closed when Shutdown begins
@@ -213,7 +221,11 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
-	if cfg.Cluster == nil {
+	s.node = cfg.Cluster
+	if s.node == nil {
+		// A node with no Dial and no map: it starts no goroutine, and with no
+		// cluster opcode reaching it, it only ever answers the data path.
+		s.node, _ = cluster.NewNode(cluster.NodeConfig{Index: cfg.Index, Lo: 0, Hi: ^uint64(0)})
 		s.committer, _ = cfg.Index.(Committer)
 	}
 	return s
