@@ -148,7 +148,6 @@ type options struct {
 	poolSize    int
 	pipeline    int
 	dialTimeout time.Duration
-	reqTimeout  time.Duration
 	redials     int
 	backoffMin  time.Duration
 	backoffMax  time.Duration
@@ -164,7 +163,6 @@ func defaultOptions() options {
 		poolSize:    2,
 		pipeline:    128,
 		dialTimeout: 5 * time.Second,
-		reqTimeout:  0, // context-only by default
 		redials:     4,
 		backoffMin:  25 * time.Millisecond,
 		backoffMax:  1 * time.Second,
@@ -201,16 +199,6 @@ func WithDialTimeout(d time.Duration) Option {
 	return func(o *options) {
 		if d > 0 {
 			o.dialTimeout = d
-		}
-	}
-}
-
-// WithRequestTimeout applies a default per-request deadline when the
-// caller's context has none (default: none — the context rules).
-func WithRequestTimeout(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.reqTimeout = d
 		}
 	}
 }
@@ -515,13 +503,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // the circuit breaker and with the ctx deadline budget propagated on the
 // wire.
 func (c *Client) do(ctx context.Context, req *proto.Request) (proto.Response, error) {
-	if c.o.reqTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.o.reqTimeout)
-			defer cancel()
-		}
-	}
 	if c.br != nil {
 		if err := c.br.allow(); err != nil {
 			return proto.Response{}, err

@@ -263,7 +263,7 @@ func (cc *clientConn) readLoop() {
 			}
 			// A chunk with no stream belongs to a cancelled scan; drop it.
 		case proto.OpPing, proto.OpGet, proto.OpInsert, proto.OpDelete,
-			proto.OpScan, proto.OpGetBatch, proto.OpInsertBatch,
+			proto.OpGetBatch, proto.OpInsertBatch,
 			proto.OpDeleteBatch, proto.OpLen, proto.OpHello,
 			proto.OpScanCredit, proto.OpScanCancel,
 			proto.OpShardInfo, proto.OpMapGet, proto.OpMapSet,

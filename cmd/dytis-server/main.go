@@ -94,12 +94,10 @@ func main() {
 		os.Exit(2)
 	}
 	// With -wal-dir the served index is a durable store: mutations are
-	// write-ahead logged in commit groups and acked on completion (a log
-	// failure answers StatusErr on the request and poisons the store; only
-	// behind -shard, where the node calls the store synchronously, does a
-	// single-op failure still fail-stop its connection), and startup recovers
-	// whatever the directory holds. Without it, the index lives and dies in
-	// memory.
+	// write-ahead logged in commit groups and acked on completion, with or
+	// without -shard (a log failure answers StatusErr on the request and
+	// poisons the store), and startup recovers whatever the directory holds.
+	// Without it, the index lives and dies in memory.
 	var idx server.Index
 	var wm *dytis.WALMetrics
 	var closeIndex func() error

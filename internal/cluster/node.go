@@ -25,6 +25,43 @@ type Index interface {
 	Len() int
 }
 
+// Done receives a submitted mutation's outcome: found for a delete, founds
+// (the submitted slice, extended) for a batch delete, a non-nil err if it was
+// not applied. It may run inside Submit or later, and must not block.
+type Done = func(found bool, founds []bool, err error)
+
+// Committer is a backend's submission surface. The durable wal.Store adapter
+// implements it, queueing each mutation for a group commit; NewNode wraps
+// any other Index in inline. Mutations submitted from one goroutine apply in
+// order, and slices passed in stay untouched until done runs.
+type Committer interface {
+	SubmitInsert(key, val uint64, done Done)
+	SubmitDelete(key uint64, done Done)
+	SubmitInsertBatch(keys, vals []uint64, done Done)
+	SubmitDeleteBatch(keys []uint64, found []bool, done Done)
+	// Barrier returns once every mutation submitted before it has been
+	// applied or has failed.
+	Barrier()
+}
+
+// inline is the Committer of an Index without one: a mutation applies and
+// completes before its Submit returns.
+type inline struct{ idx Index }
+
+func (x inline) SubmitInsert(key, val uint64, done Done) {
+	x.idx.Insert(key, val)
+	done(false, nil, nil)
+}
+func (x inline) SubmitDelete(key uint64, done Done) { done(x.idx.Delete(key), nil, nil) }
+func (x inline) SubmitInsertBatch(keys, vals []uint64, done Done) {
+	done(false, nil, x.idx.InsertBatch(keys, vals))
+}
+func (x inline) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
+	found, err := x.idx.DeleteBatch(keys, found)
+	done(false, found, err)
+}
+func (inline) Barrier() {}
+
 // Peer is the slice of a remote shard server a handover drives: the
 // import session on the new owner plus the double-write mirror. The
 // production implementation adapts client.Client (cmd/dytis-server); tests
@@ -151,6 +188,7 @@ type NodeConfig struct {
 // what makes double-writes ordered and cutover lossless).
 type Node struct {
 	idx    Index
+	be     Committer // idx's submission side: idx itself, or inline over it
 	dial   PeerDialer
 	logf   func(format string, args ...any)
 	retry  RetryPolicy
@@ -233,6 +271,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		idx: cfg.Index, dial: cfg.Dial, logf: cfg.Logf,
 		retry: cfg.Retry.normalized(), events: cfg.Events,
 		lo: cfg.Lo, hi: cfg.Hi,
+	}
+	if n.be, _ = cfg.Index.(Committer); n.be == nil {
+		n.be = inline{cfg.Index}
 	}
 	return n, nil
 }
@@ -437,45 +478,55 @@ func (n *Node) GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, [
 	return vals, found, nil
 }
 
-// InsertBatch applies a batched write, falling to the serialized mirror
-// path when any key is inside a live handover's moving range.
-func (n *Node) InsertBatch(keys, vals []uint64) error {
-	var err error
-	mirror, ownErr := n.applyOwned(func() { err = n.idx.InsertBatch(keys, vals) }, keys...)
-	if ownErr != nil {
-		return ownErr
+// SubmitInsert submits one insert to the backend behind the ownership check
+// (applyOwned; StartHandover's barrier keeps it pinned until the insert
+// applies). A moving key takes mirroredWrite and an unowned one completes
+// with ErrWrongShard, both before SubmitInsert returns.
+func (n *Node) SubmitInsert(key, val uint64, done Done) {
+	mirror, err := n.applyOwned(func() { n.be.SubmitInsert(key, val, done) }, key)
+	if mirror {
+		_, err = n.mirroredWrite(false, key, val)
 	}
-	if !mirror {
-		return err
+	if mirror || err != nil {
+		done(false, nil, err)
 	}
-	for i, k := range keys {
-		if _, err := n.mirroredWrite(false, k, vals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// DeleteBatch applies a batched delete; same slow-path rules as
-// InsertBatch.
-func (n *Node) DeleteBatch(keys []uint64, found []bool) ([]bool, error) {
-	var err error
-	mirror, ownErr := n.applyOwned(func() { found, err = n.idx.DeleteBatch(keys, found) }, keys...)
-	if ownErr != nil {
-		return found, ownErr
+// SubmitDelete is SubmitInsert for a delete.
+func (n *Node) SubmitDelete(key uint64, done Done) {
+	mirror, err := n.applyOwned(func() { n.be.SubmitDelete(key, done) }, key)
+	var found bool
+	if mirror {
+		found, err = n.mirroredWrite(true, key, 0)
 	}
-	if !mirror {
-		return found, err
+	if mirror || err != nil {
+		done(found, nil, err)
 	}
-	found = found[:0]
-	for _, k := range keys {
-		f, err := n.mirroredWrite(true, k, 0)
-		if err != nil {
-			return found, err
-		}
+}
+
+// SubmitInsertBatch is SubmitInsert for a batch: one stray key redirects it
+// all, and one that touches a moving range is mirrored key by key.
+func (n *Node) SubmitInsertBatch(keys, vals []uint64, done Done) {
+	mirror, err := n.applyOwned(func() { n.be.SubmitInsertBatch(keys, vals, done) }, keys...)
+	for i := 0; mirror && err == nil && i < len(keys); i++ {
+		_, err = n.mirroredWrite(false, keys[i], vals[i])
+	}
+	if mirror || err != nil {
+		done(false, nil, err)
+	}
+}
+
+// SubmitDeleteBatch is SubmitInsertBatch for a batch delete.
+func (n *Node) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
+	mirror, err := n.applyOwned(func() { n.be.SubmitDeleteBatch(keys, found, done) }, keys...)
+	for i := 0; mirror && err == nil && i < len(keys); i++ {
+		var f bool
+		f, err = n.mirroredWrite(true, keys[i], 0)
 		found = append(found, f)
 	}
-	return found, nil
+	if mirror || err != nil {
+		done(false, found, err)
+	}
 }
 
 // --- map management ---------------------------------------------------------
@@ -742,6 +793,10 @@ func (n *Node) StartHandover(lo, hi uint64, addr string) error {
 	n.ho = ho
 	n.mu.Unlock()
 	n.hmu.Unlock()
+	// Every later write to [lo, hi] is mirrored, but one submitted before
+	// n.ho was set may still be queued in the backend: wait it out so the
+	// bulk copy reads it (DESIGN §11).
+	n.be.Barrier()
 	go n.runCopy(ho, peer, ho.stop)
 	return nil
 }

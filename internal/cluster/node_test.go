@@ -244,16 +244,31 @@ func TestNodeOwnershipEnforced(t *testing.T) {
 	if _, _, err := n.GetBatch([]uint64{150, 500}, nil, nil); !errors.Is(err, ErrWrongShard) {
 		t.Errorf("batch with stray key: %v", err)
 	}
-	if err := n.InsertBatch([]uint64{150, 500}, []uint64{1, 2}); !errors.Is(err, ErrWrongShard) {
+	if err := submitted(n.SubmitInsertBatch, []uint64{150, 500}, []uint64{1, 2}); !errors.Is(err, ErrWrongShard) {
 		t.Errorf("insert batch with stray key: %v", err)
 	}
-	if _, err := n.DeleteBatch([]uint64{500}, nil); !errors.Is(err, ErrWrongShard) {
+	if err := submitted(func(keys, _ []uint64, done Done) { n.SubmitDeleteBatch(keys, nil, done) }, []uint64{500}, nil); !errors.Is(err, ErrWrongShard) {
 		t.Errorf("delete batch with stray key: %v", err)
 	}
 	// The stray batch must not have been half-applied.
 	if _, ok := idx.Get(500); ok {
 		t.Error("stray key applied despite redirect")
 	}
+}
+
+// submitted runs one batch Submit and returns the error its done received,
+// failing the test unless done ran exactly once before Submit returned (as
+// it must on an inline backend and on every ownership miss).
+func submitted(submit func(keys, vals []uint64, done Done), keys, vals []uint64) error {
+	var (
+		calls int
+		err   error
+	)
+	submit(keys, vals, func(_ bool, _ []bool, e error) { calls, err = calls+1, e })
+	if calls != 1 {
+		return fmt.Errorf("done ran %d times before Submit returned, want 1", calls)
+	}
+	return err
 }
 
 // panicIndex fails every mutation by panicking, as a poisoned durable store
@@ -276,10 +291,14 @@ func (panicIndex) DeleteBatch([]uint64, []bool) ([]bool, error) {
 func TestNodeMutationPanicReleasesLock(t *testing.T) {
 	n := mustNode(t, panicIndex{newFakeIndex()}, 0, ^uint64(0), nil)
 	for name, op := range map[string]func(){
-		"Insert":      func() { n.Insert(1, 1) },
-		"Delete":      func() { n.Delete(1) },
-		"InsertBatch": func() { n.InsertBatch([]uint64{1, 2}, []uint64{1, 2}) },
-		"DeleteBatch": func() { n.DeleteBatch([]uint64{1, 2}, nil) },
+		"Insert":       func() { n.Insert(1, 1) },
+		"Delete":       func() { n.Delete(1) },
+		"SubmitInsert": func() { n.SubmitInsert(1, 1, func(bool, []bool, error) {}) },
+		"SubmitDelete": func() { n.SubmitDelete(1, func(bool, []bool, error) {}) },
+		"SubmitInsertBatch": func() {
+			n.SubmitInsertBatch([]uint64{1, 2}, []uint64{1, 2}, func(bool, []bool, error) {})
+		},
+		"SubmitDeleteBatch": func() { n.SubmitDeleteBatch([]uint64{1, 2}, nil, func(bool, []bool, error) {}) },
 	} {
 		func() {
 			defer func() {

@@ -16,7 +16,6 @@ func TestDeadlineFlagRoundTrip(t *testing.T) {
 		{ID: 1, Op: OpPing, TimeoutMS: 250},
 		{ID: 2, Op: OpGet, Key: 42, TimeoutMS: 1},
 		{ID: 3, Op: OpInsert, Key: 1, Val: 2, TimeoutMS: ^uint32(0)},
-		{ID: 4, Op: OpScan, Key: 9, Max: 100, TimeoutMS: 5000},
 		{ID: 5, Op: OpGetBatch, Keys: []uint64{1, 2, 3}, TimeoutMS: 77},
 		{ID: 6, Op: OpInsertBatch, Keys: []uint64{7}, Vals: []uint64{8}, TimeoutMS: 9},
 		{ID: 7, Op: OpDeleteBatch, Keys: []uint64{0}, TimeoutMS: 10},

@@ -23,7 +23,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	seed(&Request{ID: 1, Op: OpPing})
 	seed(&Request{ID: 2, Op: OpGet, Key: 42})
 	seed(&Request{ID: 3, Op: OpInsert, Key: 1, Val: 2})
-	seed(&Request{ID: 4, Op: OpScan, Key: 9, Max: 100})
+	// The retired whole-result scan (opcode 5), which no encoder emits: id 4,
+	// start 9, max 100. A decoder must refuse it.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 100})
 	seed(&Request{ID: 5, Op: OpGetBatch, Keys: []uint64{1, 2, 3}})
 	seed(&Request{ID: 6, Op: OpInsertBatch, Keys: []uint64{7}, Vals: []uint64{8}})
 	seed(&Request{ID: 7, Op: OpDeleteBatch, Keys: []uint64{0, ^uint64(0)}})
@@ -41,7 +43,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	seed(&Request{ID: 19, Op: OpImportEnd, Commit: true})
 	seed(&Request{ID: 20, Op: OpMirror, Del: true, Key: 5})
 	seed(&Request{ID: 21, Op: OpGet, Key: 7, Epoch: 3})
-	seed(&Request{ID: 22, Op: OpScan, Key: 7, Max: 10, Epoch: 1, TimeoutMS: 50})
+	seed(&Request{ID: 22, Op: OpScanStart, Key: 7, Max: 10, Credits: 1, Epoch: 1, TimeoutMS: 50})
 	f.Add([]byte{})
 	f.Add(make([]byte, 9))
 
@@ -79,7 +81,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	seed(&Response{ID: 1, Op: OpPing})
 	seed(&Response{ID: 2, Op: OpGet, Found: true, Val: 3})
-	seed(&Response{ID: 3, Op: OpScan, Keys: []uint64{1, 2}, Vals: []uint64{3, 4}})
+	// A retired whole-result scan answer (opcode 5): id 3, status OK, one pair.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 3, 5, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})
 	seed(&Response{ID: 4, Op: OpGetBatch, Vals: []uint64{1}, Founds: []bool{true}})
 	seed(&Response{ID: 5, Op: OpDeleteBatch, Founds: []bool{false, true}})
 	seed(&Response{ID: 6, Op: OpLen, Val: 99})

@@ -24,7 +24,6 @@
 //	Get          key(8)
 //	Insert       key(8) val(8)
 //	Delete       key(8)
-//	Scan         start(8) max(4)                      max <= MaxScan
 //	GetBatch     n(4) key(8)*n                        n <= MaxBatch
 //	InsertBatch  n(4) [key(8) val(8)]*n               n <= MaxBatch
 //	DeleteBatch  n(4) key(8)*n                        n <= MaxBatch
@@ -37,11 +36,13 @@
 //	Get          found(1) val(8)
 //	Insert       —
 //	Delete       found(1)
-//	Scan         n(4) [key(8) val(8)]*n
 //	GetBatch     n(4) [found(1) val(8)]*n
 //	InsertBatch  —
 //	DeleteBatch  n(4) found(1)*n
 //	Len          count(8)
+//
+// Opcode 5, between Delete and GetBatch, is reserved: it was a whole-result
+// scan, which scans no longer use, and every decoder refuses it.
 //
 // The per-op byte cost makes the batching amortization concrete: a pipelined
 // single-key GET costs 25 bytes of request framing for 8 bytes of key; a
@@ -58,9 +59,8 @@
 // The server refuses a first frame that is not a HELLO asking for Version2
 // with FeatCRC and FeatScanStream: it answers StatusBadRequest and closes
 // the connection. The HELLO exchange itself is unsealed v1 framing; every
-// frame after it is protocol v2. The Scan opcode keeps its number and codec,
-// but the server refuses it after the handshake: scans travel only as
-// streams. Version2 negotiates these features:
+// frame after it is protocol v2. Scans travel only as streams. Version2
+// negotiates these features:
 //
 //   - FeatCRC: every frame after the HELLO exchange, in both directions,
 //     carries a 4-byte CRC32C (Castagnoli) trailer covering the length
@@ -152,7 +152,7 @@ const (
 	OpGet
 	OpInsert
 	OpDelete
-	OpScan
+	opScanRetired // reserved: the whole-result scan, which scans no longer use; decoders refuse it
 	OpGetBatch
 	OpInsertBatch
 	OpDeleteBatch
@@ -198,8 +198,6 @@ func (o Opcode) String() string {
 		return "insert"
 	case OpDelete:
 		return "delete"
-	case OpScan:
-		return "scan"
 	case OpGetBatch:
 		return "get-batch"
 	case OpInsertBatch:
@@ -251,11 +249,11 @@ func (o Opcode) String() string {
 // Valid reports whether o is a defined request opcode. The response-only
 // stream opcodes are excluded: a request decoder must reject them.
 func (o Opcode) Valid() bool {
-	return o > OpInvalid && o < NumOpcodes && o != OpScanChunk && o != OpScanEnd
+	return o.ValidResponse() && o != OpScanChunk && o != OpScanEnd
 }
 
 // ValidResponse reports whether o may appear in a response.
-func (o Opcode) ValidResponse() bool { return o > OpInvalid && o < NumOpcodes }
+func (o Opcode) ValidResponse() bool { return o > OpInvalid && o < NumOpcodes && o != opScanRetired }
 
 // FlagDeadline, OR-ed into a request's opcode byte, announces a uint32
 // timeout-millis field between the opcode and the payload. The encoding is
@@ -337,12 +335,11 @@ const (
 // a hostile peer cannot make either side reserve unbounded memory.
 const (
 	// MaxFrame bounds a whole frame (4-byte length prefix included). It is
-	// sized so a MaxBatch insert batch and a MaxScan scan result both fit.
+	// sized so a MaxBatch insert batch and a MaxScan scan chunk both fit.
 	MaxFrame = 1 << 21
 	// MaxBatch bounds the entry count of one batched request.
 	MaxBatch = 1 << 16
-	// MaxScan bounds the pair count one Scan may request; it also bounds a
-	// streaming scan's per-chunk budget.
+	// MaxScan bounds a streaming scan's per-chunk pair budget.
 	MaxScan = 1 << 16
 	// MaxScanCredits bounds the outstanding chunk credits of one streaming
 	// scan, so a hostile peer cannot bank an unbounded window.
@@ -381,9 +378,9 @@ type Request struct {
 	// StatusDeadlineExceeded instead.
 	TimeoutMS uint32
 
-	Key uint64 // Get/Insert/Delete key, Scan/ScanStart start
+	Key uint64 // Get/Insert/Delete key, ScanStart start
 	Val uint64 // Insert value
-	Max uint32 // Scan pair budget, ScanStart per-chunk pair budget
+	Max uint32 // ScanStart per-chunk pair budget
 
 	Keys []uint64 // GetBatch/DeleteBatch keys, InsertBatch keys
 	Vals []uint64 // InsertBatch values (len == len(Keys))
@@ -417,8 +414,8 @@ type Response struct {
 	Found bool   // Get/Delete
 	Val   uint64 // Get value, Len count, ScanEnd total pairs delivered
 
-	Keys   []uint64 // Scan/ScanChunk result keys
-	Vals   []uint64 // Scan/ScanChunk result values, GetBatch values
+	Keys   []uint64 // ScanChunk result keys
+	Vals   []uint64 // ScanChunk result values, GetBatch values
 	Founds []bool   // GetBatch/DeleteBatch per-entry found flags
 
 	// Protocol v2 fields.
@@ -507,12 +504,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	case OpInsert:
 		dst = appendU64(dst, r.Key)
 		dst = appendU64(dst, r.Val)
-	case OpScan:
-		if r.Max > MaxScan {
-			return dst, fmt.Errorf("%w: scan max %d", ErrLimit, r.Max)
-		}
-		dst = appendU64(dst, r.Key)
-		dst = appendU32(dst, r.Max)
 	case OpGetBatch, OpDeleteBatch:
 		if len(r.Keys) > MaxBatch {
 			return dst, fmt.Errorf("%w: batch of %d", ErrLimit, len(r.Keys))
@@ -633,15 +624,6 @@ func AppendResponseV(dst []byte, r *Response, ver uint8) ([]byte, error) {
 		dst = appendU64(dst, r.Val)
 	case OpDelete:
 		dst = append(dst, boolByte(r.Found))
-	case OpScan:
-		if len(r.Keys) > MaxScan || len(r.Keys) != len(r.Vals) {
-			return dst, fmt.Errorf("%w: scan result of %d/%d", ErrLimit, len(r.Keys), len(r.Vals))
-		}
-		dst = appendU32(dst, uint32(len(r.Keys)))
-		for i, k := range r.Keys {
-			dst = appendU64(dst, k)
-			dst = appendU64(dst, r.Vals[i])
-		}
 	case OpGetBatch:
 		if len(r.Vals) > MaxBatch || len(r.Vals) != len(r.Founds) {
 			return dst, fmt.Errorf("%w: get-batch result of %d/%d", ErrLimit, len(r.Vals), len(r.Founds))
@@ -736,7 +718,7 @@ func responseSize(r *Response) int {
 		return n + 4 + 4 + min(len(r.MapBlob), MaxMapBlob) + len(r.Msg)
 	}
 	switch r.Op {
-	case OpScan, OpScanChunk:
+	case OpScanChunk:
 		return n + 4 + 16*min(len(r.Keys), MaxScan)
 	case OpGetBatch:
 		return n + 4 + 9*min(len(r.Vals), MaxBatch)
@@ -886,16 +868,6 @@ func DecodeRequest(body []byte, req *Request) error {
 		}
 		if req.Val, err = rd.u64(); err != nil {
 			return err
-		}
-	case OpScan:
-		if req.Key, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Max, err = rd.u32(); err != nil {
-			return err
-		}
-		if req.Max > MaxScan {
-			return fmt.Errorf("%w: scan max %d", ErrLimit, req.Max)
 		}
 	case OpGetBatch, OpDeleteBatch:
 		n, err := rd.count(MaxBatch, 8)
@@ -1094,17 +1066,6 @@ func DecodeResponseV(body []byte, resp *Response, ver uint8) error {
 			return err
 		}
 		resp.Found = f != 0
-	case OpScan:
-		n, err := rd.count(MaxScan, 16)
-		if err != nil {
-			return err
-		}
-		resp.Keys = growTo(resp.Keys, n)
-		resp.Vals = growTo(resp.Vals, n)
-		for i := 0; i < n; i++ {
-			resp.Keys[i], _ = rd.u64()
-			resp.Vals[i], _ = rd.u64()
-		}
 	case OpGetBatch:
 		n, err := rd.count(MaxBatch, 9)
 		if err != nil {

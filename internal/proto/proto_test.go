@@ -75,7 +75,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 3, Op: OpGet, Key: math.MaxUint64},
 		{ID: 4, Op: OpDelete, Key: 0},
 		{ID: 5, Op: OpInsert, Key: 42, Val: 99},
-		{ID: 6, Op: OpScan, Key: 7, Max: MaxScan},
 		{ID: 7, Op: OpGetBatch, Keys: []uint64{1, 2, 3, math.MaxUint64}},
 		{ID: 8, Op: OpDeleteBatch, Keys: []uint64{0}},
 		{ID: 9, Op: OpInsertBatch, Keys: []uint64{1, 2}, Vals: []uint64{10, 20}},
@@ -98,13 +97,11 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 3, Op: OpGet, Found: false, Val: 0},
 		{ID: 4, Op: OpInsert},
 		{ID: 5, Op: OpDelete, Found: true},
-		{ID: 6, Op: OpScan, Keys: []uint64{1, 2}, Vals: []uint64{10, 20}},
 		{ID: 7, Op: OpGetBatch, Vals: []uint64{5, 0}, Founds: []bool{true, false}},
 		{ID: 8, Op: OpInsertBatch},
 		{ID: 9, Op: OpDeleteBatch, Founds: []bool{true, false, true}},
 		{ID: 10, Op: OpLen, Val: 1 << 40},
 		{ID: 11, Op: OpGet, Status: StatusBadRequest, Msg: "nope"},
-		{ID: 12, Op: OpScan, Status: StatusShuttingDown, Msg: "draining"},
 	}
 	for _, want := range cases {
 		got := roundTripResp(t, &want)
@@ -172,11 +169,6 @@ func TestDecodeRequestErrors(t *testing.T) {
 			binary.BigEndian.PutUint32(b[9:], MaxBatch+1)
 			return b
 		}(), ErrLimit},
-		{"scan max over limit", func() []byte {
-			b := valid(&Request{Op: OpScan, Key: 1, Max: 1})
-			binary.BigEndian.PutUint32(b[17:], MaxScan+1)
-			return b
-		}(), ErrLimit},
 	}
 	for _, tc := range cases {
 		var req Request
@@ -232,7 +224,7 @@ func TestFrameSizing(t *testing.T) {
 	if _, err := AppendResponse(nil, &Response{Op: OpGetBatch, Vals: vals, Founds: founds}); err != nil {
 		t.Fatalf("max get-batch response does not fit: %v", err)
 	}
-	if _, err := AppendResponse(nil, &Response{Op: OpScan, Keys: keys[:MaxScan], Vals: vals[:MaxScan]}); err != nil {
-		t.Fatalf("max scan response does not fit: %v", err)
+	if _, err := AppendResponse(nil, &Response{Op: OpScanChunk, Keys: keys[:MaxScan], Vals: vals[:MaxScan]}); err != nil {
+		t.Fatalf("max scan chunk does not fit: %v", err)
 	}
 }

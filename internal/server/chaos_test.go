@@ -727,8 +727,9 @@ func TestOverloadShed(t *testing.T) {
 	}
 }
 
-// panicIndex panics on Get(magic) — the server must convert that into an
-// ERR response plus one closed connection, nothing more.
+// panicIndex panics on Get(magic) and Insert(magic, _) — the server must
+// convert that into an ERR response plus one closed connection, nothing
+// more.
 type panicIndex struct {
 	server.Index
 	magic uint64
@@ -739,6 +740,13 @@ func (p *panicIndex) Get(k uint64) (uint64, bool) {
 		panic("panicIndex: boom")
 	}
 	return p.Index.Get(k)
+}
+
+func (p *panicIndex) Insert(k, v uint64) {
+	if k == p.magic {
+		panic("panicIndex: boom")
+	}
+	p.Index.Insert(k, v)
 }
 
 // closeSignalConn closes closed on the first Close of any connection that
@@ -820,6 +828,72 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if m.Panics() != 1 {
 		t.Fatalf("Panics = %d after recovery traffic, want still 1", m.Panics())
+	}
+}
+
+// TestPanicRecoveryMutation: an in-memory backend panicking inside a
+// submitted Insert is contained like a panicking read — an ERR answer, one
+// counted panic, only that connection closed — and the mutation's pending
+// place is given back, so the drain does not wait for it.
+func TestPanicRecoveryMutation(t *testing.T) {
+	const magic = ^uint64(0)
+	d := core.New(smallOpts())
+	m := &server.Metrics{}
+	addr, srv := startIndex(t, &panicIndex{Index: d, magic: magic}, d, server.Config{
+		Metrics: m,
+		Logf:    t.Logf,
+	})
+
+	bystander, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
+	closed := make(chan struct{})
+	var closeOnce sync.Once
+	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
+		nc, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return &closeSignalConn{Conn: nc, closed: closed, once: &closeOnce}, nil
+	}
+	c, err := client.Dial(addr, client.WithPoolSize(1), client.WithDialer(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	if err := c.Insert(ctx, magic, 1); err == nil || !strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("Insert of panicking key = %v, want the ERR response", err)
+	}
+	if n := m.Panics(); n != 1 {
+		t.Fatalf("Panics = %d, want 1", n)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never closed the connection whose mutation panicked")
+	}
+	if err := bystander.Ping(ctx); err != nil {
+		t.Fatalf("bystander connection broken by another conn's mutation panic: %v", err)
+	}
+
+	shut, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(shut) }()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Shutdown = %v: the panicked mutation was left pending", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return: the panicked mutation was left pending")
+	}
+	if n := m.Panics(); n != 1 {
+		t.Fatalf("Panics = %d after the drain, want still 1", n)
 	}
 }
 

@@ -1,64 +1,46 @@
 package server
 
-// Submitted mutations. On a backend that commits in groups (Committer — the
-// durable wal.Store adapter), executing a mutation inline would park the
-// connection's read loop on an fsync, and every later request on the
-// connection — reads included — behind it. Instead the read loop submits the
-// mutation and moves on; the backend calls back once the mutation is logged
-// and applied, and the write loop encodes and sends the response:
+// Submitted mutations. The read loop submits every mutation to the node
+// (cluster.Committer) and reads on. An in-memory backend completes it inside
+// Submit, and the read loop answers it like a read; a backend that commits
+// in groups (the durable wal.Store adapter) completes it later:
 //
-//	read loop ──submit──► backend queue ──commit──► mutation.complete ──► acks chan ──► write loop
+//	read loop ──submit──► node ──► backend queue ──commit──► mutation.complete ──► acks chan ──► write loop
 //
-// Three guards keep that safe. A completion only does a channel send that
-// cannot block (acks has a place for every pending mutation), so one slow
-// connection never stalls the committer. Pending mutations per connection
-// are bounded by Pipeline (mutSlots) and a place is freed only when the
-// write loop has taken the ack, so the backpressure chain of the package
-// comment still ends at the client. And serve joins every pending mutation
-// before it closes the out channel, so a drain still answers every request
-// the server has read.
+// Whichever of the read loop leaving Submit and the completion moves the
+// mutation's state out of mutPending second answers it. A completion never
+// blocks (acks has a place for every pending mutation), pending mutations
+// are bounded by Pipeline (mutSlots) so backpressure still ends at the
+// client, and serve waits for all of them before it closes the out channel.
 
 import (
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dytis/internal/proto"
 )
 
-// Committer is the optional extension of Index for a backend whose mutations
-// commit in groups: a Submit method queues the mutation and returns at once,
-// and done receives its outcome — found for a delete, founds (the submitted
-// slice, extended) for a batch delete, a non-nil err when the mutation was
-// neither logged nor applied. Mutations submitted from one goroutine apply
-// in submission order. done runs on the backend's committer and must not
-// block; slices passed in stay untouched until it runs.
-type Committer interface {
-	SubmitInsert(key, val uint64, done func(found bool, founds []bool, err error))
-	SubmitDelete(key uint64, done func(found bool, founds []bool, err error))
-	SubmitInsertBatch(keys, vals []uint64, done func(found bool, founds []bool, err error))
-	SubmitDeleteBatch(keys []uint64, found []bool, done func(found bool, founds []bool, err error))
-}
+// A mutation's state: the handoff between the read loop and the completion.
+const (
+	mutPending uint32 = iota // inside Submit and not yet completed
+	mutQueued                // Submit returned first: the completion answers it through acks
+	mutDone                  // completed first (or Submit panicked): the read loop answers it
+)
 
-// submits reports whether op is one the committing path takes over.
-func submits(op proto.Opcode) bool {
-	switch op {
-	case proto.OpInsert, proto.OpDelete, proto.OpInsertBatch, proto.OpDeleteBatch:
-		return true
-	}
-	return false
-}
-
-// mutation is one submitted request between the read loop and its response:
-// what the response must echo, what completion must release, the batch
-// arguments (copied out of the read loop's scratch, which the next frame
-// overwrites), and then the result. Recycled through mutPool.
+// mutation is one submitted request: what its response echoes, what its
+// completion releases, its batch arguments (copied out of the read loop's
+// scratch, which the next frame overwrites) and its result. The read loop
+// reuses one it answered itself; acks' are recycled through mutPool.
 type mutation struct {
-	c    *conn
-	id   uint64
-	op   proto.Opcode
-	n    int           // operation count, for metrics
-	t0   time.Time     // submission, for the booked latency
-	slot chan struct{} // admission slot held until completion; nil when none
+	c     *conn
+	id    uint64
+	op    proto.Opcode
+	n     int           // operation count, for metrics
+	t0    time.Time     // submission, for the booked latency
+	slot  chan struct{} // admission slot held until completion; nil when none
+	state atomic.Uint32
 
 	keys, vals []uint64
 	founds     []bool
@@ -80,13 +62,16 @@ func newMutation() *mutation {
 	return m
 }
 
-// complete is the backend's callback. It runs on the committer, so it does
-// only what cannot block: book the latency, release the admission slot, and
-// pass the mutation to the connection's write loop.
+// complete is the backend's callback. Inside Submit it only records the
+// result; later, on the backend's committer, it does only what cannot
+// block: book the latency, release the admission slot, pass m to acks.
 func (m *mutation) complete(found bool, founds []bool, err error) {
 	m.found, m.err = found, err
 	if founds != nil {
 		m.founds = founds
+	}
+	if m.state.CompareAndSwap(mutPending, mutDone) {
+		return
 	}
 	c := m.c
 	if mt := c.srv.cfg.Metrics; mt != nil {
@@ -98,51 +83,99 @@ func (m *mutation) complete(found bool, founds []bool, err error) {
 	c.acks <- m // never blocks: mutSlots keeps pending mutations within cap(acks)
 }
 
-// submit hands c.req to the committing backend and returns without waiting
-// for it; slot is the admission slot the request holds, if any. It blocks
-// only while Pipeline mutations are already pending on this connection.
-func (c *conn) submit(t0 time.Time, slot chan struct{}) {
+// submit hands c.req to the node and reports whether the connection should
+// go on; the mutation holds slot, the request's admission slot (nil when
+// none), until answered. It blocks only while Pipeline mutations are pending.
+func (c *conn) submit(t0 time.Time, slot chan struct{}) bool {
 	c.mutSlots <- struct{}{}
-	c.muts.Add(1)
 
 	req := &c.req
-	m := newMutation()
+	m := c.spare
+	c.spare = nil // until the read loop answers m itself
+	if m == nil {
+		m = newMutation()
+	}
 	m.c, m.id, m.op, m.n, m.t0, m.slot = c, req.ID, req.Op, batchSize(req), t0, slot
-	be := c.srv.committer
+	m.state.Store(mutPending)
+	if c.nodeSubmit(m) {
+		// A late completion may still write m, so m is dropped. Answer ERR
+		// and close this one connection, as execute's panic does.
+		c.release(slot)
+		c.send(&proto.Response{ID: req.ID, Op: req.Op, Status: proto.StatusErr, Msg: "internal error"})
+		return false
+	}
+	if m.state.CompareAndSwap(mutPending, mutQueued) {
+		return true // the write loop recycles m once the ack is out
+	}
+	// Completed inside Submit: answer it here, as a read is answered.
+	c.spare = m
+	if mt := c.srv.cfg.Metrics; mt != nil {
+		mt.recordOp(m.op, c.shard, m.n, time.Since(t0))
+	}
+	resp := c.ackResponse(m)
+	ok := c.send(&resp)
+	c.release(slot)
+	return ok
+}
+
+// nodeSubmit runs c.req's Submit on the server's node, converting a panic
+// below (index bug, a poisoned store's synchronous write on a moving range)
+// into panicked, as execute does.
+func (c *conn) nodeSubmit(m *mutation) (panicked bool) {
+	req := &c.req
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = true
+			if mt := c.srv.cfg.Metrics; mt != nil {
+				mt.panicRecovered()
+			}
+			c.srv.logf("server: panic serving %s from %s: %v\n%s", req.Op, c.raddr, r, debug.Stack())
+		}
+	}()
+	node := c.srv.node
+	//dytis:opswitch requests group=serve
 	switch req.Op {
 	case proto.OpInsert:
-		be.SubmitInsert(req.Key, req.Val, m.done)
+		node.SubmitInsert(req.Key, req.Val, m.done)
 	case proto.OpDelete:
-		be.SubmitDelete(req.Key, m.done)
+		node.SubmitDelete(req.Key, m.done)
 	case proto.OpInsertBatch:
 		m.keys = append(m.keys[:0], req.Keys...)
 		m.vals = append(m.vals[:0], req.Vals...)
-		be.SubmitInsertBatch(m.keys, m.vals, m.done)
+		node.SubmitInsertBatch(m.keys, m.vals, m.done)
 	case proto.OpDeleteBatch:
 		m.keys = append(m.keys[:0], req.Keys...)
-		be.SubmitDeleteBatch(m.keys, m.founds[:0], m.done)
+		node.SubmitDeleteBatch(m.keys, m.founds[:0], m.done)
 	}
+	return false
 }
 
-// appendAck encodes a completed mutation's response onto dst. Called by the
-// write loop.
-func (c *conn) appendAck(dst []byte, m *mutation) []byte {
+// ackResponse is a completed mutation's response; an error goes through
+// clusterErr, so a wrong shard carries the node's map.
+func (c *conn) ackResponse(m *mutation) proto.Response {
 	resp := proto.Response{ID: m.id, Op: m.op, Found: m.found}
 	if m.op == proto.OpDeleteBatch {
 		resp.Founds = m.founds
 	}
 	if m.err != nil {
-		resp.Status, resp.Msg = proto.StatusErr, m.err.Error()
+		c.clusterErr(&resp, m.err)
 	}
-	dst, _ = c.appendFrame(dst, &resp) // an encode failure is logged and writes nothing, as in send
-	return dst
+	return resp
 }
 
-// acked retires a mutation the write loop has taken: its place in the
-// pending bound is free and the drain no longer waits for it.
+// release frees an answered mutation's admission slot (nil when none) and
+// its place in the pending bound, so the drain no longer waits for it.
+func (c *conn) release(slot chan struct{}) {
+	if slot != nil {
+		<-slot
+	}
+	<-c.mutSlots
+}
+
+// acked retires a mutation the write loop has taken; complete released its
+// admission slot.
 func (c *conn) acked(m *mutation) {
 	m.c, m.slot, m.err = nil, nil, nil
 	mutPool.Put(m)
-	<-c.mutSlots
-	c.muts.Done()
+	c.release(nil)
 }

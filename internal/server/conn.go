@@ -17,10 +17,9 @@ import (
 )
 
 // conn is one client connection: a read loop (the serve goroutine itself,
-// which also executes the index operations — or, on a committing backend,
-// submits the mutations; see commit.go) feeding encoded responses to a write
-// loop over the bounded out channel. See the package comment for the
-// backpressure chain.
+// which also executes the reads and submits the mutations; see commit.go)
+// feeding encoded responses to a write loop over the bounded out channel.
+// See the package comment for the backpressure chain.
 type conn struct {
 	srv   *Server
 	nc    netConn
@@ -54,14 +53,14 @@ type conn struct {
 	// streamed scan's server-side buffering.
 	queued atomic.Int64
 
-	// Submitted-mutation state (commit.go); the channels exist only on a
-	// committing backend and are made before the write loop starts. Kept
-	// last on purpose: the read and write loops both work in this struct, and
-	// placing these fields ahead of queued cost wire-pipelined ~10 % ops/s
-	// on 2 vCPUs (the existing fields changed cache lines).
-	acks     chan *mutation // completed mutations, to the write loop; capacity Pipeline
-	mutSlots chan struct{}  // semaphore bounding pending mutations to Pipeline
-	muts     sync.WaitGroup // pending mutations; serve joins it before closing out
+	// Submitted-mutation state (commit.go); the channels are made before the
+	// write loop starts. Kept last on purpose: the read and write loops both
+	// work in this struct, and placing these fields ahead of queued cost
+	// wire-pipelined ~10 % ops/s on 2 vCPUs (the existing fields changed
+	// cache lines).
+	acks     chan *mutation // mutations completed after Submit returned, to the write loop; capacity Pipeline
+	mutSlots chan struct{}  // semaphore bounding pending mutations to Pipeline; serve refills it before closing out
+	spare    *mutation      // read loop only: the mutation it answered last, reused for the next
 
 	// free returns written frames from the write loop to send, which encodes
 	// the next response into one instead of allocating. Capacity Pipeline,
@@ -116,11 +115,9 @@ func (c *conn) serve() {
 	c.out = make(chan []byte, c.srv.cfg.Pipeline)
 	c.free = make(chan []byte, c.srv.cfg.Pipeline)
 	c.scanStop = make(chan struct{})
-	if c.srv.committer != nil {
-		// One place per pending mutation, so a completion never blocks.
-		c.acks = make(chan *mutation, c.srv.cfg.Pipeline)
-		c.mutSlots = make(chan struct{}, c.srv.cfg.Pipeline)
-	}
+	// One place per pending mutation, so a completion never blocks.
+	c.acks = make(chan *mutation, c.srv.cfg.Pipeline)
+	c.mutSlots = make(chan struct{}, c.srv.cfg.Pipeline)
 	writerDone := make(chan struct{})
 	go c.writeLoop(writerDone)
 
@@ -171,7 +168,9 @@ func (c *conn) serve() {
 	// queued response flushes before the socket closes.
 	close(c.scanStop)
 	c.scanWg.Wait()
-	c.muts.Wait()
+	for range cap(c.mutSlots) {
+		c.mutSlots <- struct{}{} // every place back: no mutation is pending
+	}
 	close(c.out)
 	<-writerDone
 	c.nc.Close()
@@ -305,8 +304,6 @@ func (c *conn) dispatch(arrival time.Time) bool {
 		// Valid only as the handshake; a peer that flips framing mid-flight
 		// under pipelined traffic is broken.
 		return c.refuse("hello: must be the first request on a connection")
-	case proto.OpScan:
-		return c.refuse("scan: scans stream; send scan-start")
 	case proto.OpScanStart:
 		return c.handleScanStart(arrival)
 	case proto.OpScanCredit:
@@ -348,10 +345,10 @@ func (c *conn) reportReadErr(err error, stage string) {
 	}
 }
 
-// handle executes c.req against the server's node, books the server-side
-// latency, and queues the response; it reports whether the connection should
-// go on. arrival is when the request's frame finished arriving, the
-// reference point for its propagated deadline budget.
+// handle executes (or, for a mutation, submits) c.req against the server's
+// node, books the server-side latency, and queues the response; it reports
+// whether the connection should go on. arrival is when the request's frame
+// finished arriving, the reference point for its propagated deadline budget.
 func (c *conn) handle(arrival time.Time) bool {
 	cfg := &c.srv.cfg
 	req, resp := &c.req, &c.resp
@@ -364,24 +361,13 @@ func (c *conn) handle(arrival time.Time) bool {
 		return c.shed(st, resp)
 	}
 	g := c.srv.inflight
-	if g != nil {
-		// Released when handle returns — unless the request is submitted
-		// below, which hands the slot on to the pending mutation.
-		defer func() {
-			if g != nil {
-				<-g
-			}
-		}()
-	}
-
 	t0 := time.Now()
-	if c.srv.committer != nil && submits(req.Op) {
-		// A committing backend: queue the mutation and go on reading. Its
-		// response is sent on completion, so later requests on this
-		// connection — reads included — overtake its ack.
-		c.submit(t0, g)
-		g = nil
-		return true
+	switch req.Op {
+	case proto.OpInsert, proto.OpDelete, proto.OpInsertBatch, proto.OpDeleteBatch:
+		return c.submit(t0, g)
+	}
+	if g != nil {
+		defer func() { <-g }()
 	}
 	panicked := c.execute(req, resp)
 	if m := cfg.Metrics; m != nil && !panicked {
@@ -462,9 +448,10 @@ func (c *conn) shed(st proto.Status, resp *proto.Response) bool {
 	return c.send(resp)
 }
 
-// execute runs one decoded request against the server's node, converting a
-// panic anywhere below (index bug, corrupted state) into an ERR response for
-// this request — the panic takes down one connection, never the process.
+// execute runs one decoded request other than a mutation against the
+// server's node, converting a panic anywhere below (index bug, corrupted
+// state) into an ERR response for this request — the panic takes down one
+// connection, never the process.
 func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -485,16 +472,8 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 	case proto.OpPing:
 	case proto.OpGet:
 		resp.Val, resp.Found, err = node.Get(req.Key)
-	case proto.OpInsert:
-		err = node.Insert(req.Key, req.Val)
-	case proto.OpDelete:
-		resp.Found, err = node.Delete(req.Key)
 	case proto.OpGetBatch:
 		resp.Vals, resp.Founds, err = node.GetBatch(req.Keys, resp.Vals, resp.Founds)
-	case proto.OpInsertBatch:
-		err = node.InsertBatch(req.Keys, req.Vals)
-	case proto.OpDeleteBatch:
-		resp.Founds, err = node.DeleteBatch(req.Keys, resp.Founds)
 	case proto.OpLen:
 		resp.Val = uint64(node.Len())
 
@@ -616,8 +595,8 @@ func (c *conn) appendFrame(dst []byte, resp *proto.Response) ([]byte, bool) {
 	return proto.SealFrame(dst, start), true
 }
 
-// writeLoop drains the out channel — and, on a committing backend, the
-// completed mutations of commit.go — into the socket through one buffered
+// writeLoop drains the out channel — and the mutations of commit.go that
+// completed after their Submit returned — into the socket through one buffered
 // writer, flushing whenever the queues momentarily empty, so pipelined
 // responses coalesce into large writes but the last response of a burst is
 // never withheld. With a WriteTimeout configured, every socket write is
@@ -660,21 +639,17 @@ func (c *conn) writeLoop(done chan<- struct{}) {
 	bw.Flush()
 }
 
-// nextFrame waits for the next frame to write: a queued response or, on a
-// committing backend, a completed mutation's ack, encoded here. It reports
-// false once the read loop has closed out.
+// nextFrame waits for the next frame to write: a queued response or a late
+// mutation's ack, encoded here. It reports false once the read loop has
+// closed out.
 func (c *conn) nextFrame() ([]byte, bool) {
-	if c.acks == nil {
-		frame, ok := <-c.out
-		c.queued.Add(-int64(len(frame)))
-		return frame, ok
-	}
 	select {
 	case frame, ok := <-c.out:
 		c.queued.Add(-int64(len(frame)))
 		return frame, ok
 	case m := <-c.acks:
-		frame := c.appendAck(c.takeFrame(), m)
+		resp := c.ackResponse(m)
+		frame, _ := c.appendFrame(c.takeFrame(), &resp) // an encode failure is logged and writes nothing
 		c.acked(m)
 		return frame, true
 	}

@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -222,19 +223,28 @@ func TestHelloMidStreamRejected(t *testing.T) {
 	requireClosed(t, nc, "a mid-stream HELLO")
 }
 
-// TestScanOpcodeRefused: scans travel only as streams, so OpScan is a
-// request no peer may send; it is answered StatusBadRequest and the
-// connection closes.
+// TestScanOpcodeRefused: scans travel only as streams, so the retired
+// whole-result scan opcode (5, still reserved) is a request no peer may
+// send; it is answered StatusBadRequest and the connection closes. No
+// encoder emits it any more, so the frame is built by hand in its old
+// layout: id(8) op(1) start(8) max(4).
 func TestScanOpcodeRefused(t *testing.T) {
 	idx := core.New(smallOpts())
 	idx.Insert(1, 1)
 	addr, _ := start(t, idx, server.Config{})
 	nc := rawDial(t, addr)
-	rawSend(t, nc, proto.Request{ID: 2, Op: proto.OpScan, Key: 0, Max: 10})
-	if r := rawRecv(t, nc); r.ID != 2 || r.Status != proto.StatusBadRequest || len(r.Keys) != 0 {
-		t.Fatalf("OpScan answered %+v, want id 2 bad-request", r)
+	frame := binary.BigEndian.AppendUint32(nil, 8+1+8+4)
+	frame = binary.BigEndian.AppendUint64(frame, 2)
+	frame = append(frame, 5)
+	frame = binary.BigEndian.AppendUint64(frame, 0)
+	frame = binary.BigEndian.AppendUint32(frame, 10)
+	if _, err := nc.Write(proto.SealFrame(frame, 0)); err != nil {
+		t.Fatal(err)
 	}
-	requireClosed(t, nc, "an OpScan")
+	if r := rawRecv(t, nc); r.ID != 2 || r.Status != proto.StatusBadRequest || len(r.Keys) != 0 {
+		t.Fatalf("the retired scan opcode answered %+v, want id 2 bad-request", r)
+	}
+	requireClosed(t, nc, "the retired scan opcode")
 }
 
 // TestOverloadRetryAfterWire pins the retry-after encoding on the sealed

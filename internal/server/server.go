@@ -14,8 +14,8 @@
 // A node op is a data operation served through the server's one
 // cluster.Node: a shard server's (Config.Cluster) or, on a standalone
 // server, one New builds that owns the whole key space and never gets a
-// map, so both kinds of server run one data path. Only a committing
-// backend's mutations on a standalone server bypass it (below).
+// map, so both kinds of server run one data path, and the node is the only
+// code that touches the backend.
 //
 // The read loop decodes and executes requests back-to-back without waiting
 // for the client to consume responses — that is what makes client-side
@@ -25,20 +25,17 @@
 // channel, which blocks the read loop, which fills the client's send window.
 // No per-connection buffering grows beyond the channel's Pipeline frames.
 //
-// On a standalone server over a backend whose mutations commit in groups
-// (Committer — the durable wal.Store adapter) a mutation leaves the read
-// loop early and its response joins the write loop late:
-//
-//	read loop ──submit──► backend queue ──commit──► completion ──► acks chan ──► write loop
-//
-// so the read loop never waits out an fsync and responses complete out of
-// order: a read overtakes the ack of a write sent before it. The ordering
+// Every mutation is submitted to the node (commit.go). Over a backend whose
+// mutations commit in groups (the durable wal.Store adapter) it leaves the
+// read loop early and its response joins the write loop late, so the read
+// loop never waits out an fsync and responses complete out of order: a read
+// overtakes the ack of a write sent before it. The ordering
 // rule is: the mutations of one connection apply in arrival order; a request
 // sent after a response was received observes that response's effect;
 // nothing else is ordered. Pending mutations count against the same Pipeline
 // bound, so the chain above stays self-throttling (see commit.go).
 //
-// Because every other index operation a connection issues runs on that
+// Because every index operation a connection issues starts on that
 // connection's read-loop goroutine, the server is exactly the multi-client
 // adversarial workload the Concurrent index was built for: N connections =
 // N goroutines hammering Get/Insert/Delete/Scan (the optimistic read path
@@ -76,11 +73,9 @@ import (
 // server's name: *core.DyTIS (and therefore the public dytis.Index)
 // implements it, as does the durable wal.Store adapter. The index must be
 // safe for concurrent use: every connection drives it from its own
-// goroutine. The batch mutation paths may fail (closed index,
-// write-ahead-log append failure); a non-nil error is answered as StatusErr
-// on that request, nothing is retried server-side. On a standalone server
-// (no Config.Cluster), an Index that also implements Committer has its
-// mutations submitted instead of called.
+// goroutine. A mutation may fail (closed index, write-ahead-log failure);
+// the error is answered as StatusErr on that request, nothing is retried
+// server-side.
 type Index = cluster.Index
 
 // Config configures a Server; Index is the only required field.
@@ -168,15 +163,8 @@ type Server struct {
 
 	// inflight is the admission-control semaphore (nil when MaxInflight is
 	// 0): a slot is held for the duration of one request's index work — for
-	// a submitted mutation, until its commit completes.
+	// a submitted mutation, until it completes.
 	inflight chan struct{}
-
-	// committer is cfg.Index's Committer side, nil when it has none or on a
-	// shard server (whose node calls the synchronous methods). Non-nil
-	// switches every connection's mutations to the submitted path of
-	// commit.go, past the server's own node: exact, since that node owns
-	// every key and never gets a map.
-	committer Committer
 
 	closed chan struct{} // closed when Shutdown begins
 	wg     sync.WaitGroup
@@ -226,7 +214,6 @@ func New(cfg Config) *Server {
 		// A node with no Dial and no map: it starts no goroutine, and with no
 		// cluster opcode reaching it, it only ever answers the data path.
 		s.node, _ = cluster.NewNode(cluster.NodeConfig{Index: cfg.Index, Lo: 0, Hi: ^uint64(0)})
-		s.committer, _ = cfg.Index.(Committer)
 	}
 	return s
 }

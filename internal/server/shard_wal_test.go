@@ -14,13 +14,14 @@ import (
 	"dytis/client"
 	"dytis/internal/check"
 	"dytis/internal/cluster"
+	"dytis/internal/proto"
 	"dytis/internal/server"
 	"dytis/internal/wal"
 )
 
-// walShard is a shard server over a durable store: the node calls the
-// store's synchronous Insert/Delete/InsertBatch/DeleteBatch, the path of
-// every write on a -shard -wal-dir server.
+// walShard is a shard server over a durable store: the node submits every
+// write to the store's commit queue, the path of every write on a -shard
+// -wal-dir server.
 type walShard struct {
 	addr string
 	srv  *server.Server
@@ -265,10 +266,50 @@ func TestShardWALServerOracle(t *testing.T) {
 	wantKeys(t, "recovered index", got, want)
 }
 
-// TestShardWALServerPoisonedStore: on a shard server the node calls the
-// durable store's synchronous Insert, which panics once the store is
-// poisoned. The server recovers that panic (the Insert answers an error and
-// only its connection closes), and the node must come out of it unlocked:
+// TestShardWALServerReadOvertakesWriteAck: on a shard server over a
+// durable store, an INSERT whose fsync is held open does not hold the
+// connection's read loop: a GET sent after it on the same connection is
+// answered while the fsync is held, and the INSERT acks once it returns.
+func TestShardWALServerReadOvertakesWriteAck(t *testing.T) {
+	stall := newFsyncStall()
+	opts := durableOpts()
+	opts.Fsync = wal.FsyncAlways
+	opts.CheckpointBytes = -1
+	opts.Hooks.Sync = stall.hook
+	st, err := wal.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p := startWALShard(t, st)
+	defer stall.release() // lifted before the deferred Close on a failed test
+	if err := st.Insert(7, 70); err != nil {
+		t.Fatal(err)
+	}
+	nc := rawDial(t, p.addr)
+	defer nc.Close()
+
+	stall.stall()
+	rawSend(t, nc, proto.Request{ID: 1, Op: proto.OpInsert, Key: 5, Val: 50})
+	stall.awaitParked(t)
+	rawSend(t, nc, proto.Request{ID: 2, Op: proto.OpGet, Key: 7})
+	if r := rawRecv(t, nc); r.ID != 2 || r.Op != proto.OpGet || !r.Found || r.Val != 70 {
+		t.Fatalf("first response = %+v, want the GET's (id 2): a read waited behind a write's fsync", r)
+	}
+	stall.release()
+	if r := rawRecv(t, nc); r.ID != 1 || r.Op != proto.OpInsert || r.Status != proto.StatusOK {
+		t.Fatalf("response after the fsync returned = %+v, want the INSERT's ack (id 1)", r)
+	}
+	rawSend(t, nc, proto.Request{ID: 3, Op: proto.OpGet, Key: 5})
+	if r := rawRecv(t, nc); r.ID != 3 || !r.Found || r.Val != 50 {
+		t.Fatalf("GET sent after the INSERT's ack = %+v, want 50", r)
+	}
+}
+
+// TestShardWALServerPoisonedStore: on a shard server the node submits to
+// the durable store, whose commit fails once the store is poisoned. The
+// Insert answers an error, nothing panics and the connection stays open, as
+// on a standalone durable server; and the node comes out of it unlocked:
 // installing a map on a fresh connection completes.
 func TestShardWALServerPoisonedStore(t *testing.T) {
 	opts := durableOpts()
@@ -287,6 +328,7 @@ func TestShardWALServerPoisonedStore(t *testing.T) {
 	defer st.Close()
 	p := startWALShard(t, st)
 	ctx := context.Background()
+	conns := p.m.ConnsTotal() // the epoch-1 map install's
 
 	c, err := client.Dial(p.addr, client.WithPoolSize(1))
 	if err != nil {
@@ -300,8 +342,12 @@ func TestShardWALServerPoisonedStore(t *testing.T) {
 	if err := c.Insert(ctx, 2, 20); err == nil {
 		t.Fatal("insert on a poisoned store acked over the wire")
 	}
-	if n := p.m.Panics(); n != 1 {
-		t.Fatalf("panics = %d, want 1 (the synchronous insert fail-stops)", n)
+	// A closed connection would show as a redial on this read.
+	if v, ok, err := c.Get(ctx, 1); err != nil || !ok || v != 10 {
+		t.Fatalf("Get(1) after the failed insert = %d,%v,%v", v, ok, err)
+	}
+	if p.m.Panics() != 0 || p.m.ConnsTotal()-conns != 1 {
+		t.Fatalf("panics = %d, connections = %d", p.m.Panics(), p.m.ConnsTotal()-conns)
 	}
 	failing.Store(false)
 

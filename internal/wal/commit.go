@@ -15,11 +15,9 @@ import (
 // A lone caller finds the queue empty and commits its own one-record group in
 // place — the path a sequential writer has always had.
 
-// Done receives the outcome of a submitted mutation: found is Delete's
-// answer, founds DeleteBatch's (the submitted slice, extended), and a non-nil
-// err means the mutation was neither acked nor applied. It runs on whichever
-// goroutine committed the group, so it must not block.
-type Done = func(found bool, founds []bool, err error)
+// doneFunc is a submitted op's completion, a cluster.Done: it runs on
+// whichever goroutine committed the op's group.
+type doneFunc = func(found bool, founds []bool, err error)
 
 // op is one queued mutation: its arguments on the way in, its result on the
 // way out. Ops are recycled through opPool; a synchronous caller's op carries
@@ -31,9 +29,13 @@ type op struct {
 	founds     []bool
 	found      bool
 	err        error
-	done       Done
+	done       doneFunc
 	wake       chan struct{} // capacity 1: the committer's signal to a synchronous caller
 }
+
+// kindBarrier is an op that frames, logs and applies nothing: its completion
+// says every op queued before it has committed or failed (ServingIndex.Barrier).
+const kindBarrier byte = 0xff
 
 var opPool = sync.Pool{New: func() any { return &op{wake: make(chan struct{}, 1)} }}
 
@@ -135,7 +137,7 @@ func (s *Store) runCommitter(once bool) {
 func (s *Store) commitGroup(g *group) {
 	s.mu.Lock()
 	err := s.readyLocked()
-	if err == nil {
+	if err == nil && g.nrec > 0 { // a group of barriers alone logs nothing
 		err = s.logLocked(g)
 	}
 	if err == nil {

@@ -424,18 +424,17 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Serving adapts the Store to the server.Index interface, plus the Submit
-// methods a server uses to queue a mutation without waiting for its commit.
+// Serving adapts the Store to the server.Index interface plus
+// cluster.Committer, through which a server's node submits every mutation.
 // The batch mutation paths and every Submit method report log failures as
 // errors (the server answers StatusErr). The synchronous single-op paths
 // have no error return on that interface, so there a log failure panics —
 // deliberately fail-stop, because silently acking an unlogged write would
-// break the durability contract; only callers that wrap the adapter in
-// another synchronous layer (cluster.Node) still reach them, and the
-// server's per-connection panic recovery converts the panic into a
-// StatusErr response and one closed connection. Either way every later
-// mutation keeps failing (the store is poisoned), so the operator sees a
-// loud, persistent signal rather than quiet data loss.
+// break the durability contract. A server reaches them only through its
+// node's handover paths, and its per-connection panic recovery converts the
+// panic into a StatusErr response and one closed connection. Either way
+// every later mutation keeps failing (the store is poisoned): a loud,
+// persistent signal, not quiet data loss.
 func (s *Store) Serving() ServingIndex { return ServingIndex{s} }
 
 // ServingIndex is the server.Index adapter returned by Store.Serving; see
@@ -444,24 +443,22 @@ type ServingIndex struct {
 	s *Store
 }
 
-// SubmitInsert queues one insert and returns at once; done receives the
-// commit's outcome (see Done).
-func (x ServingIndex) SubmitInsert(key, val uint64, done Done) {
+// SubmitInsert queues one insert; done receives the commit's outcome.
+func (x ServingIndex) SubmitInsert(key, val uint64, done doneFunc) {
 	o := newOp(kindInsert)
 	o.key, o.val, o.done = key, val, done
 	x.s.submit(o)
 }
 
 // SubmitDelete queues one delete; done receives whether the key was present.
-func (x ServingIndex) SubmitDelete(key uint64, done Done) {
+func (x ServingIndex) SubmitDelete(key uint64, done doneFunc) {
 	o := newOp(kindDelete)
 	o.key, o.done = key, done
 	x.s.submit(o)
 }
 
-// SubmitInsertBatch queues a batch of inserts as one record group. keys and
-// vals must stay untouched until done runs.
-func (x ServingIndex) SubmitInsertBatch(keys, vals []uint64, done Done) {
+// SubmitInsertBatch queues a batch of inserts as one record group.
+func (x ServingIndex) SubmitInsertBatch(keys, vals []uint64, done doneFunc) {
 	if len(keys) != len(vals) {
 		panic("wal: SubmitInsertBatch keys/vals length mismatch")
 	}
@@ -475,8 +472,8 @@ func (x ServingIndex) SubmitInsertBatch(keys, vals []uint64, done Done) {
 }
 
 // SubmitDeleteBatch queues a batch of deletes; done receives found extended
-// by the per-key results. keys and found must stay untouched until then.
-func (x ServingIndex) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
+// by the per-key results.
+func (x ServingIndex) SubmitDeleteBatch(keys []uint64, found []bool, done doneFunc) {
 	if len(keys) == 0 {
 		done(false, found, nil)
 		return
@@ -484,6 +481,14 @@ func (x ServingIndex) SubmitDeleteBatch(keys []uint64, found []bool, done Done) 
 	o := newOp(kindDeleteBatch)
 	o.keys, o.founds, o.done = keys, found, done
 	x.s.submit(o)
+}
+
+// Barrier returns once every mutation submitted before it has committed or
+// failed: it is an empty op through the commit queue.
+func (x ServingIndex) Barrier() {
+	o := newOp(kindBarrier)
+	x.s.commit(o)
+	o.release()
 }
 
 // Get reads through.
