@@ -11,17 +11,14 @@ import (
 	"dytis/internal/kv"
 )
 
-// Index is the index surface a Node wraps, and the one the server serves:
+// Index is the read surface a Node wraps, and the one the server serves:
 // server.Index is an alias of it, since every server serves through a Node.
+// Writes reach the index only through the node's Committer (see NewNode).
 // It must be safe for concurrent use.
 type Index interface {
 	Get(key uint64) (uint64, bool)
-	Insert(key, value uint64)
-	Delete(key uint64) bool
 	Scan(start uint64, max int, dst []kv.KV) []kv.KV
 	GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, []bool)
-	InsertBatch(keys, vals []uint64) error
-	DeleteBatch(keys []uint64, found []bool) ([]bool, error)
 	Len() int
 }
 
@@ -30,10 +27,11 @@ type Index interface {
 // not applied. It may run inside Submit or later, and must not block.
 type Done = func(found bool, founds []bool, err error)
 
-// Committer is a backend's submission surface. The durable wal.Store adapter
-// implements it, queueing each mutation for a group commit; NewNode wraps
-// any other Index in inline. Mutations submitted from one goroutine apply in
-// order, and slices passed in stay untouched until done runs.
+// Committer is a backend's submission surface and the node's only write
+// path. The durable wal.Store adapter implements it, queueing each mutation
+// for a group commit; NewNode wraps an in-memory index's synchronous
+// mutators in inline. Mutations submitted from one goroutine apply in order,
+// and slices passed in stay untouched until done runs.
 type Committer interface {
 	SubmitInsert(key, val uint64, done Done)
 	SubmitDelete(key uint64, done Done)
@@ -44,23 +42,76 @@ type Committer interface {
 	Barrier()
 }
 
-// inline is the Committer of an Index without one: a mutation applies and
+// writer is the synchronous mutation surface of an in-memory index.
+type writer interface {
+	Insert(key, value uint64)
+	Delete(key uint64) bool
+	InsertBatch(keys, vals []uint64) error
+	DeleteBatch(keys []uint64, found []bool) ([]bool, error)
+}
+
+// inline is the Committer of an index without one: a mutation applies and
 // completes before its Submit returns.
-type inline struct{ idx Index }
+type inline struct{ w writer }
 
 func (x inline) SubmitInsert(key, val uint64, done Done) {
-	x.idx.Insert(key, val)
+	x.w.Insert(key, val)
 	done(false, nil, nil)
 }
-func (x inline) SubmitDelete(key uint64, done Done) { done(x.idx.Delete(key), nil, nil) }
+func (x inline) SubmitDelete(key uint64, done Done) { done(x.w.Delete(key), nil, nil) }
 func (x inline) SubmitInsertBatch(keys, vals []uint64, done Done) {
-	done(false, nil, x.idx.InsertBatch(keys, vals))
+	done(false, nil, x.w.InsertBatch(keys, vals))
 }
 func (x inline) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
-	found, err := x.idx.DeleteBatch(keys, found)
+	found, err := x.w.DeleteBatch(keys, found)
 	done(false, found, err)
 }
 func (inline) Barrier() {}
+
+// waiter carries one synchronous node write through the Committer. Its done
+// is bound once, so a recycled waiter makes a submit-and-wait allocation-free.
+type waiter struct {
+	wg     sync.WaitGroup
+	done   Done
+	found  bool
+	founds []bool
+	err    error
+}
+
+// waiters recycles waiters: a channel, not a sync.Pool, whose puts the race
+// detector drops at random.
+var waiters = make(chan *waiter, 64)
+
+func newWaiter() *waiter {
+	w := &waiter{}
+	w.done = func(found bool, founds []bool, err error) {
+		w.found, w.founds, w.err = found, founds, err
+		w.wg.Done()
+	}
+	return w
+}
+
+// await runs submit with a recycled waiter's done and returns the outcome
+// once done has run: every synchronous node write is one submission waited
+// for here. A submit that panics abandons its waiter to the collector.
+func await(submit func(done Done)) (found bool, founds []bool, err error) {
+	var w *waiter
+	select {
+	case w = <-waiters:
+	default:
+		w = newWaiter()
+	}
+	w.wg.Add(1)
+	submit(w.done)
+	w.wg.Wait()
+	found, founds, err = w.found, w.founds, w.err
+	w.founds, w.err = nil, nil
+	select {
+	case waiters <- w:
+	default:
+	}
+	return found, founds, err
+}
 
 // Peer is the slice of a remote shard server a handover drives: the
 // import session on the new owner plus the double-write mirror. The
@@ -187,8 +238,8 @@ type NodeConfig struct {
 // a network call, hmu is (that synchronous mirror under hmu is exactly
 // what makes double-writes ordered and cutover lossless).
 type Node struct {
-	idx    Index
-	be     Committer // idx's submission side: idx itself, or inline over it
+	idx    Index     // read only: every write goes through be
+	be     Committer // cfg.Index itself, or inline over its mutators
 	dial   PeerDialer
 	logf   func(format string, args ...any)
 	retry  RetryPolicy
@@ -262,18 +313,22 @@ type importSession struct {
 	tombs   map[uint64]struct{}
 }
 
-// NewNode builds a node owning [cfg.Lo, cfg.Hi].
+// NewNode builds a node owning [cfg.Lo, cfg.Hi]. The node writes through
+// cfg.Index's Committer, or else through inline over its synchronous
+// Insert/Delete/InsertBatch/DeleteBatch; an index with neither is refused.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Index == nil {
-		return nil, errors.New("cluster: NodeConfig.Index is required")
-	}
 	n := &Node{
 		idx: cfg.Index, dial: cfg.Dial, logf: cfg.Logf,
 		retry: cfg.Retry.normalized(), events: cfg.Events,
 		lo: cfg.Lo, hi: cfg.Hi,
 	}
-	if n.be, _ = cfg.Index.(Committer); n.be == nil {
-		n.be = inline{cfg.Index}
+	switch x := cfg.Index.(type) {
+	case Committer:
+		n.be = x
+	case writer:
+		n.be = inline{x}
+	default: // nil included
+		return nil, fmt.Errorf("cluster: NodeConfig.Index (%T) can neither submit nor apply writes", x)
 	}
 	return n, nil
 }
@@ -334,25 +389,16 @@ func (n *Node) Get(key uint64) (uint64, bool, error) {
 	return v, ok, nil
 }
 
-// Insert applies a write. Writes inside a live handover's moving range
-// take the slow path: serialized under hmu, applied locally, then
-// synchronously mirrored to the new owner before the ack — the invariant
-// that makes cutover lossless.
+// Insert is SubmitInsert waited for: it returns once the write has applied
+// (and, in a live handover's moving range, has been mirrored) or has failed.
 func (n *Node) Insert(key, val uint64) error {
-	mirror, err := n.applyOwned(func() { n.idx.Insert(key, val) }, key)
-	if mirror {
-		_, err = n.mirroredWrite(false, key, val)
-	}
+	_, _, err := await(func(done Done) { n.SubmitInsert(key, val, done) })
 	return err
 }
 
-// Delete applies a delete; same slow-path rules as Insert.
+// Delete is SubmitDelete waited for.
 func (n *Node) Delete(key uint64) (bool, error) {
-	var found bool
-	mirror, err := n.applyOwned(func() { found = n.idx.Delete(key) }, key)
-	if mirror {
-		return n.mirroredWrite(true, key, 0)
-	}
+	found, _, err := await(func(done Done) { n.SubmitDelete(key, done) })
 	return found, err
 }
 
@@ -363,9 +409,8 @@ func (n *Node) Delete(key uint64) (bool, error) {
 // and write, so an acked write can never land in a range another node now
 // owns. mirror reports that some key is moving; nothing was applied and the
 // caller takes mirroredWrite. The unlock is deferred because apply may
-// panic (a poisoned durable store fails its synchronous writes that way):
-// a read lock left held would wedge the next SetMap, and every reader
-// queued behind it.
+// panic (an in-memory index's mutator can): a read lock left held would
+// wedge the next SetMap, and every reader queued behind it.
 func (n *Node) applyOwned(apply func(), keys ...uint64) (mirror bool, err error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -383,57 +428,72 @@ func (n *Node) applyOwned(apply func(), keys ...uint64) (mirror bool, err error)
 	return mirror, nil
 }
 
-// mirroredWrite is the moving-range slow path: one write applied locally
-// and mirrored to the handover target before it is acknowledged. hmu
-// serializes these end to end, so mirrors arrive at the target in apply
-// order — concurrent same-key writes cannot invert on the wire. While the
-// handover is suspended the write is journaled instead of mirrored; the
-// journal replays (as mirrors, which overwrite and maintain tombstones)
-// before a resume goes live, so acked suspended-window writes still reach
-// the target before any cutover.
-func (n *Node) mirroredWrite(del bool, key, val uint64) (bool, error) {
+// mirroredWrite is the moving-range slow path: a write applied locally as
+// one submission, waited for, then mirrored to the handover target key by
+// key in apply order before it is acknowledged. hmu serializes these end to
+// end, so mirrors arrive at the target in apply order — concurrent same-key
+// writes cannot invert on the wire. While the handover is suspended a key is
+// journaled instead of mirrored; the journal replays (as mirrors, which
+// overwrite and maintain tombstones) before a resume goes live, so acked
+// suspended-window writes still reach the target before any cutover. A
+// failed local apply returns its error and is neither mirrored nor
+// journaled. A delete passes nil vals and gets found extended.
+func (n *Node) mirroredWrite(del bool, keys, vals []uint64, found []bool) ([]bool, error) {
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
 	n.mu.RLock()
-	if !n.ownsLocked(key) {
-		err := n.wrongShardLocked(key)
-		n.mu.RUnlock()
-		return false, err
+	for _, k := range keys {
+		if !n.ownsLocked(k) {
+			err := n.wrongShardLocked(k)
+			n.mu.RUnlock()
+			return found, err
+		}
 	}
-	ho := n.ho
-	var (
-		peer  Peer
-		stop  chan struct{}
-		state = HandoverDone // anything inactive
-	)
-	if ho != nil && ho.covers(key) {
-		state, peer, stop = ho.state, ho.peer, ho.stop
+	ho, state := n.ho, hoState(n.ho)
+	var peer Peer
+	var stop chan struct{}
+	if ho != nil {
+		peer, stop = ho.peer, ho.stop
 	}
 	n.mu.RUnlock()
-	var found bool
-	if del {
-		found = n.idx.Delete(key)
-	} else {
-		n.idx.Insert(key, val)
+	_, founds, err := await(func(done Done) {
+		if del {
+			n.be.SubmitDeleteBatch(keys, found, done)
+		} else {
+			n.be.SubmitInsertBatch(keys, vals, done)
+		}
+	})
+	if err != nil {
+		return founds, err
 	}
-	switch state {
-	case HandoverCopying, HandoverCopied:
-		err := n.retryPeer(ho, stop, true, func() error { return peer.Mirror(del, key, val) })
-		if err != nil {
+	for i, key := range keys {
+		if ho == nil || !ho.covers(key) {
+			continue
+		}
+		var val uint64
+		if !del {
+			val = vals[i]
+		}
+		if state == HandoverCopying || state == HandoverCopied {
+			err := n.retryPeer(ho, stop, true, func() error { return peer.Mirror(del, key, val) })
+			if err == nil {
+				ho.mirrored.Add(1)
+				continue
+			}
 			// The local apply stands and the write is still acknowledged:
 			// suspending the handover here guarantees this map can never cut
 			// the range over (SetMap refuses to de-own anything not covered by
-			// a Copied handover), and the journal entry carries the write into
-			// the eventual resume — either way it cannot be lost.
+			// a Copied handover), and the journal carries this key and the
+			// rest of the batch into the eventual resume — either way none
+			// can be lost.
 			n.suspendHandoverLocked(ho, fmt.Errorf("mirror to %s: %w", ho.addr, err))
-			ho.addPending(del, key, val)
-			return found, nil
+			state = HandoverFailed
 		}
-		ho.mirrored.Add(1)
-	case HandoverFailed:
-		ho.addPending(del, key, val)
+		if state == HandoverFailed {
+			ho.addPending(del, key, val)
+		}
 	}
-	return found, nil
+	return founds, nil
 }
 
 // Scan serves one clipped page of the owned range starting at start. done
@@ -485,7 +545,7 @@ func (n *Node) GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, [
 func (n *Node) SubmitInsert(key, val uint64, done Done) {
 	mirror, err := n.applyOwned(func() { n.be.SubmitInsert(key, val, done) }, key)
 	if mirror {
-		_, err = n.mirroredWrite(false, key, val)
+		_, err = n.mirroredWrite(false, []uint64{key}, []uint64{val}, nil)
 	}
 	if mirror || err != nil {
 		done(false, nil, err)
@@ -495,21 +555,21 @@ func (n *Node) SubmitInsert(key, val uint64, done Done) {
 // SubmitDelete is SubmitInsert for a delete.
 func (n *Node) SubmitDelete(key uint64, done Done) {
 	mirror, err := n.applyOwned(func() { n.be.SubmitDelete(key, done) }, key)
-	var found bool
+	var founds []bool
 	if mirror {
-		found, err = n.mirroredWrite(true, key, 0)
+		founds, err = n.mirroredWrite(true, []uint64{key}, nil, nil)
 	}
 	if mirror || err != nil {
-		done(found, nil, err)
+		done(len(founds) > 0 && founds[0], nil, err)
 	}
 }
 
 // SubmitInsertBatch is SubmitInsert for a batch: one stray key redirects it
-// all, and one that touches a moving range is mirrored key by key.
+// all, and one that touches a moving range sends it all to mirroredWrite.
 func (n *Node) SubmitInsertBatch(keys, vals []uint64, done Done) {
 	mirror, err := n.applyOwned(func() { n.be.SubmitInsertBatch(keys, vals, done) }, keys...)
-	for i := 0; mirror && err == nil && i < len(keys); i++ {
-		_, err = n.mirroredWrite(false, keys[i], vals[i])
+	if mirror {
+		_, err = n.mirroredWrite(false, keys, vals, nil)
 	}
 	if mirror || err != nil {
 		done(false, nil, err)
@@ -519,10 +579,8 @@ func (n *Node) SubmitInsertBatch(keys, vals []uint64, done Done) {
 // SubmitDeleteBatch is SubmitInsertBatch for a batch delete.
 func (n *Node) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
 	mirror, err := n.applyOwned(func() { n.be.SubmitDeleteBatch(keys, found, done) }, keys...)
-	for i := 0; mirror && err == nil && i < len(keys); i++ {
-		var f bool
-		f, err = n.mirroredWrite(true, keys[i], 0)
-		found = append(found, f)
+	if mirror {
+		found, err = n.mirroredWrite(true, keys, nil, found)
 	}
 	if mirror || err != nil {
 		done(false, found, err)
@@ -651,19 +709,15 @@ func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 	n.mu.Unlock()
 
 	if finalize != nil {
-		if err := finalize.peer.ImportEnd(true); err != nil {
-			n.logErr("cluster: import-end commit to %s: %v", finalize.addr, err)
-		}
-		if err := finalize.peer.Close(); err != nil {
-			n.logErr("cluster: closing peer %s: %v", finalize.addr, err)
-		}
+		n.endImport(finalize.peer, finalize.addr, true)
 	}
 	// Scrub de-owned keys off the response path: the region already answers
 	// WrongShard, and the caller is mid-cutover — it cannot install the map
 	// on the new owner until we respond, so the fail-closed routing window
 	// must not scale with the number of moved keys. The goroutine re-takes
 	// hmu (serializing against handover machinery) and skips anything this
-	// node has re-owned or started re-importing in the meantime.
+	// node has re-owned or started re-importing in the meantime. A failed
+	// page delete (a poisoned durable store) is logged and ends the scrub.
 	if len(deowned) > 0 {
 		n.scrubs.Add(1)
 		go func() {
@@ -682,7 +736,10 @@ func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 				}
 				n.mu.RUnlock()
 				for _, s := range stale {
-					n.scrub(s.lo, s.hi)
+					if err := n.scrub(s.lo, s.hi); err != nil {
+						n.logErr("cluster: scrubbing de-owned [%#x, %#x]: %v", s.lo, s.hi, err)
+						return
+					}
 				}
 			}
 		}()
@@ -726,27 +783,29 @@ func subtractRange(oldLo, oldHi, newLo, newHi uint64) []keyRange {
 	return out
 }
 
-// scrub deletes every key in [lo, hi] from the local index, paging via
-// Scan. Called under hmu with the region already de-owned.
-func (n *Node) scrub(lo, hi uint64) {
+// scrub deletes every key in [lo, hi] from the local index, one batch
+// delete per Scan page, and stops at the first that fails. Called under hmu
+// with the region not owned.
+func (n *Node) scrub(lo, hi uint64) error {
 	buf := make([]kv.KV, 0, copyPage)
-	next := lo
-	for {
+	keys := make([]uint64, 0, copyPage)
+	for next := lo; ; next = buf[len(buf)-1].Key + 1 {
 		buf = n.idx.Scan(next, copyPage, buf[:0])
-		if len(buf) == 0 {
-			return
-		}
+		keys = keys[:0]
 		for _, p := range buf {
 			if p.Key > hi {
-				return
+				break
 			}
-			n.idx.Delete(p.Key)
+			keys = append(keys, p.Key)
 		}
-		last := buf[len(buf)-1].Key
-		if len(buf) < copyPage || last >= hi || last == ^uint64(0) {
-			return
+		if len(keys) > 0 {
+			if _, _, err := await(func(done Done) { n.be.SubmitDeleteBatch(keys, nil, done) }); err != nil {
+				return err
+			}
 		}
-		next = last + 1
+		if len(keys) < copyPage || keys[len(keys)-1] >= hi {
+			return nil
+		}
 	}
 }
 
@@ -891,7 +950,9 @@ func (n *Node) runCopy(ho *handover, peer Peer, stop chan struct{}) {
 				return e
 			})
 			if err != nil {
-				n.suspendHandover(ho, fmt.Errorf("bulk copy to %s: %w", ho.addr, err))
+				n.hmu.Lock()
+				n.suspendHandoverLocked(ho, fmt.Errorf("bulk copy to %s: %w", ho.addr, err))
+				n.hmu.Unlock()
 				return
 			}
 		}
@@ -931,17 +992,10 @@ func (n *Node) runCopy(ho *handover, peer Peer, stop chan struct{}) {
 	n.hmu.Unlock()
 }
 
-// suspendHandover marks ho failed-but-resumable: the run stops and the
-// peer connection closes, but — unlike an abort — the target's import
+// suspendHandoverLocked marks ho failed-but-resumable: the run stops and
+// the peer connection closes, but — unlike an abort — the target's import
 // session is left alive so HandoverResume can reattach and continue from
-// the watermark.
-func (n *Node) suspendHandover(ho *handover, cause error) {
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	n.suspendHandoverLocked(ho, cause)
-}
-
-// suspendHandoverLocked is suspendHandover for callers already holding hmu.
+// the watermark. Callers hold hmu.
 func (n *Node) suspendHandoverLocked(ho *handover, cause error) {
 	n.mu.Lock()
 	if ho.state != HandoverCopying && ho.state != HandoverCopied {
@@ -1074,10 +1128,7 @@ func (n *Node) HandoverAbort() error {
 	n.mu.Unlock()
 	n.logErr("cluster: handover of [%#x, %#x] aborted", ho.lo, ho.hi)
 	if live {
-		if err := peer.ImportEnd(false); err != nil {
-			n.logErr("cluster: import-end abort to %s: %v", ho.addr, err)
-		}
-		peer.Close()
+		n.endImport(peer, ho.addr, false)
 		return nil
 	}
 	// Suspended: the old peer is already closed. Redial (best effort) so
@@ -1085,10 +1136,7 @@ func (n *Node) HandoverAbort() error {
 	// imports.
 	if n.dial != nil {
 		if p, err := n.dial(ho.addr); err == nil {
-			if err := p.ImportEnd(false); err != nil {
-				n.logErr("cluster: import-end abort to %s: %v", ho.addr, err)
-			}
-			p.Close()
+			n.endImport(p, ho.addr, false)
 		} else {
 			n.logErr("cluster: abort could not reach %s to scrub its import: %v", ho.addr, err)
 		}
@@ -1115,14 +1163,20 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	if live {
 		n.logErr("cluster: handover of [%#x, %#x] failed: node closing", ho.lo, ho.hi)
-		if err := ho.peer.ImportEnd(false); err != nil {
-			n.logErr("cluster: import-end abort to %s: %v", ho.addr, err)
-		}
-		if err := ho.peer.Close(); err != nil {
-			n.logErr("cluster: closing peer %s: %v", ho.addr, err)
-		}
+		n.endImport(ho.peer, ho.addr, false)
 	}
 	return nil
+}
+
+// endImport ends the target's import session at addr — commit keeps the
+// imported range, abort scrubs it — and closes the peer, logging failures.
+func (n *Node) endImport(peer Peer, addr string, commit bool) {
+	if err := peer.ImportEnd(commit); err != nil {
+		n.logErr("cluster: import-end (commit=%v) to %s: %v", commit, addr, err)
+	}
+	if err := peer.Close(); err != nil {
+		n.logErr("cluster: closing peer %s: %v", addr, err)
+	}
 }
 
 // --- handover: target side --------------------------------------------------
@@ -1130,21 +1184,11 @@ func (n *Node) Close() error {
 // ImportStart opens an import session for [lo, hi], which must be disjoint
 // from the owned range (a handover moves keys this node does not have).
 func (n *Node) ImportStart(lo, hi uint64) error {
-	if lo > hi {
-		return fmt.Errorf("cluster: import range inverted [%#x, %#x]", lo, hi)
+	fresh, _, err := n.ImportResume(lo, hi)
+	if err == nil && !fresh {
+		err = fmt.Errorf("cluster: import of [%#x, %#x] already in progress", lo, hi)
 	}
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.imp != nil {
-		return fmt.Errorf("cluster: import of [%#x, %#x] already in progress", n.imp.lo, n.imp.hi)
-	}
-	if n.lo <= n.hi && lo <= n.hi && hi >= n.lo {
-		return fmt.Errorf("cluster: import range [%#x, %#x] overlaps owned [%#x, %#x]", lo, hi, n.lo, n.hi)
-	}
-	n.imp = &importSession{lo: lo, hi: hi, tombs: make(map[uint64]struct{})}
-	return nil
+	return err
 }
 
 // ImportResume reattaches a handover source to this node's import
@@ -1176,7 +1220,8 @@ func (n *Node) ImportResume(lo, hi uint64) (fresh bool, applied uint64, err erro
 
 // ImportBatch applies one bulk page: insert-if-absent, skipping
 // tombstoned keys, so pages racing mirrored writes can never clobber a
-// newer value or resurrect a deleted key.
+// newer value or resurrect a deleted key. The page is checked whole before
+// any index work, and the keys that pass the filters apply as one batch.
 func (n *Node) ImportBatch(keys, vals []uint64) (uint64, error) {
 	if len(keys) != len(vals) {
 		return 0, fmt.Errorf("cluster: import batch keys/vals length mismatch (%d vs %d)", len(keys), len(vals))
@@ -1189,22 +1234,21 @@ func (n *Node) ImportBatch(keys, vals []uint64) (uint64, error) {
 	if imp == nil {
 		return 0, errors.New("cluster: no import session")
 	}
-	var applied uint64
+	ks, vs := make([]uint64, 0, len(keys)), make([]uint64, 0, len(keys))
 	for i, k := range keys {
 		if k < imp.lo || k > imp.hi {
-			return applied, fmt.Errorf("cluster: import key %#x outside session [%#x, %#x]", k, imp.lo, imp.hi)
+			return 0, fmt.Errorf("cluster: import key %#x outside session [%#x, %#x]", k, imp.lo, imp.hi)
 		}
-		if _, dead := imp.tombs[k]; dead {
-			continue
+		_, dead := imp.tombs[k]
+		if _, ok := n.idx.Get(k); !dead && !ok {
+			ks, vs = append(ks, k), append(vs, vals[i])
 		}
-		if _, ok := n.idx.Get(k); ok {
-			continue
-		}
-		n.idx.Insert(k, vals[i])
-		applied++
 	}
-	imp.applied += applied
-	return applied, nil
+	if _, _, err := await(func(done Done) { n.be.SubmitInsertBatch(ks, vs, done) }); err != nil {
+		return 0, err
+	}
+	imp.applied += uint64(len(ks))
+	return uint64(len(ks)), nil
 }
 
 // ImportEnd closes the import session. commit keeps the imported data
@@ -1217,13 +1261,10 @@ func (n *Node) ImportEnd(commit bool) error {
 	imp := n.imp
 	n.imp = nil
 	n.mu.Unlock()
-	if imp == nil {
+	if imp == nil || commit {
 		return nil
 	}
-	if !commit {
-		n.scrub(imp.lo, imp.hi)
-	}
-	return nil
+	return n.scrub(imp.lo, imp.hi)
 }
 
 // MirrorApply applies one double-written op from a handover source: into
@@ -1237,25 +1278,26 @@ func (n *Node) MirrorApply(del bool, key, val uint64) error {
 	imp := n.imp
 	owned := n.ownsLocked(key)
 	n.mu.RUnlock()
-	if imp != nil && key >= imp.lo && key <= imp.hi {
-		if del {
-			n.idx.Delete(key)
-			imp.tombs[key] = struct{}{}
-		} else {
-			n.idx.Insert(key, val)
-			delete(imp.tombs, key)
-		}
-		return nil
+	importing := imp != nil && key >= imp.lo && key <= imp.hi
+	if !importing && !owned {
+		return fmt.Errorf("%w: mirrored key %#x has no import session and is not owned", ErrWrongShard, key)
 	}
-	if owned {
+	_, _, err := await(func(done Done) {
 		if del {
-			n.idx.Delete(key)
+			n.be.SubmitDelete(key, done)
 		} else {
-			n.idx.Insert(key, val)
+			n.be.SubmitInsert(key, val, done)
 		}
-		return nil
+	})
+	if err != nil || !importing {
+		return err
 	}
-	return fmt.Errorf("%w: mirrored key %#x has no import session and is not owned", ErrWrongShard, key)
+	if del {
+		imp.tombs[key] = struct{}{}
+	} else {
+		delete(imp.tombs, key)
+	}
+	return nil
 }
 
 // Len is the local index size. During a handover it double-counts the

@@ -187,3 +187,37 @@ func TestNodeSubmitMovingRangeMirrored(t *testing.T) {
 		t.Fatalf("%d mirrors sent, want 5 (one per key)", got)
 	}
 }
+
+// TestImportBatchFailsClosed: an import page with any key outside the
+// session applies nothing, not even the keys before the stray one.
+func TestImportBatchFailsClosed(t *testing.T) {
+	idx := newFakeIndex()
+	n := mustNode(t, idx, 1, 0, nil)
+	if err := n.ImportStart(100, 199); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := n.ImportBatch([]uint64{100, 101, 500}, []uint64{1, 2, 3})
+	if err == nil || applied != 0 {
+		t.Fatalf("page with a stray key: applied %d, err %v; want 0 and an error", applied, err)
+	}
+	if got := idx.Len(); got != 0 {
+		t.Fatalf("page with a stray key applied %d keys", got)
+	}
+}
+
+// TestNodeWriteAllocFree: Node.Insert and Node.Delete submit and wait
+// without allocating on an inline backend.
+func TestNodeWriteAllocFree(t *testing.T) {
+	n := mustNode(t, newFakeIndex(), 0, ^uint64(0), nil)
+	write := func() {
+		if err := n.Insert(7, 1); err != nil {
+			t.Fatal(err)
+		}
+		if found, err := n.Delete(7); err != nil || !found {
+			t.Fatalf("Delete = %v, %v", found, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, write); allocs != 0 {
+		t.Fatalf("Insert+Delete allocate %.2f times, want 0", allocs)
+	}
+}

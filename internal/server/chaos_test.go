@@ -625,10 +625,21 @@ func TestSlowLorisReaped(t *testing.T) {
 	}
 }
 
+// writableIndex is server.Index plus an in-memory index's synchronous
+// mutators: the surface the test fakes below wrap, so that the server's node
+// can still write through them.
+type writableIndex interface {
+	server.Index
+	Insert(key, value uint64)
+	Delete(key uint64) bool
+	InsertBatch(keys, vals []uint64) error
+	DeleteBatch(keys []uint64, found []bool) ([]bool, error)
+}
+
 // gateIndex blocks Get(magic) until the gate closes — the probe for
 // admission control (holds an inflight slot) and drain behavior.
 type gateIndex struct {
-	server.Index
+	writableIndex
 	gate    chan struct{}
 	magic   uint64
 	entered atomic.Int64
@@ -639,7 +650,7 @@ func (g *gateIndex) Get(k uint64) (uint64, bool) {
 		g.entered.Add(1)
 		<-g.gate
 	}
-	return g.Index.Get(k)
+	return g.writableIndex.Get(k)
 }
 
 func (g *gateIndex) waitEntered(t *testing.T, n int64) {
@@ -660,7 +671,7 @@ func (g *gateIndex) waitEntered(t *testing.T, n int64) {
 func TestOverloadShed(t *testing.T) {
 	const magic = ^uint64(0)
 	d := core.New(smallOpts())
-	gi := &gateIndex{Index: d, gate: make(chan struct{}), magic: magic}
+	gi := &gateIndex{writableIndex: d, gate: make(chan struct{}), magic: magic}
 	m := &server.Metrics{}
 	addr, _ := startIndex(t, gi, d, server.Config{
 		MaxInflight: 1,
@@ -731,7 +742,7 @@ func TestOverloadShed(t *testing.T) {
 // convert that into an ERR response plus one closed connection, nothing
 // more.
 type panicIndex struct {
-	server.Index
+	writableIndex
 	magic uint64
 }
 
@@ -739,14 +750,14 @@ func (p *panicIndex) Get(k uint64) (uint64, bool) {
 	if k == p.magic {
 		panic("panicIndex: boom")
 	}
-	return p.Index.Get(k)
+	return p.writableIndex.Get(k)
 }
 
 func (p *panicIndex) Insert(k, v uint64) {
 	if k == p.magic {
 		panic("panicIndex: boom")
 	}
-	p.Index.Insert(k, v)
+	p.writableIndex.Insert(k, v)
 }
 
 // closeSignalConn closes closed on the first Close of any connection that
@@ -767,7 +778,7 @@ func TestPanicRecovery(t *testing.T) {
 	const magic = ^uint64(0)
 	d := core.New(smallOpts())
 	m := &server.Metrics{}
-	addr, _ := startIndex(t, &panicIndex{Index: d, magic: magic}, d, server.Config{
+	addr, _ := startIndex(t, &panicIndex{writableIndex: d, magic: magic}, d, server.Config{
 		Metrics: m,
 		Logf:    t.Logf,
 	})
@@ -839,7 +850,7 @@ func TestPanicRecoveryMutation(t *testing.T) {
 	const magic = ^uint64(0)
 	d := core.New(smallOpts())
 	m := &server.Metrics{}
-	addr, srv := startIndex(t, &panicIndex{Index: d, magic: magic}, d, server.Config{
+	addr, srv := startIndex(t, &panicIndex{writableIndex: d, magic: magic}, d, server.Config{
 		Metrics: m,
 		Logf:    t.Logf,
 	})
@@ -902,7 +913,7 @@ func TestPanicRecoveryMutation(t *testing.T) {
 func TestShutdownForceClose(t *testing.T) {
 	const magic = ^uint64(0)
 	d := core.New(smallOpts())
-	gi := &gateIndex{Index: d, gate: make(chan struct{}), magic: magic}
+	gi := &gateIndex{writableIndex: d, gate: make(chan struct{}), magic: magic}
 	m := &server.Metrics{}
 
 	var logMu sync.Mutex

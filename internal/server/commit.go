@@ -119,8 +119,7 @@ func (c *conn) submit(t0 time.Time, slot chan struct{}) bool {
 }
 
 // nodeSubmit runs c.req's Submit on the server's node, converting a panic
-// below (index bug, a poisoned store's synchronous write on a moving range)
-// into panicked, as execute does.
+// below (an index bug) into panicked, as execute does.
 func (c *conn) nodeSubmit(m *mutation) (panicked bool) {
 	req := &c.req
 	defer func() {

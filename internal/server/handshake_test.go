@@ -252,7 +252,7 @@ func TestScanOpcodeRefused(t *testing.T) {
 func TestOverloadRetryAfterWire(t *testing.T) {
 	const magic = ^uint64(0)
 	d := core.New(smallOpts())
-	gi := &gateIndex{Index: d, gate: make(chan struct{}), magic: magic}
+	gi := &gateIndex{writableIndex: d, gate: make(chan struct{}), magic: magic}
 	addr, _ := startIndex(t, gi, d, server.Config{
 		MaxInflight: 1,
 		RetryAfter:  50 * time.Millisecond,

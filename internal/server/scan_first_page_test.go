@@ -191,7 +191,7 @@ func TestScanFirstPageStaleGrant(t *testing.T) {
 
 // scanPanicIndex panics on a Scan that starts at magic.
 type scanPanicIndex struct {
-	server.Index
+	writableIndex
 	magic uint64
 }
 
@@ -199,7 +199,7 @@ func (p *scanPanicIndex) Scan(start uint64, max int, dst []kv.KV) []kv.KV {
 	if start == p.magic {
 		panic("scanPanicIndex: boom")
 	}
-	return p.Index.Scan(start, max, dst)
+	return p.writableIndex.Scan(start, max, dst)
 }
 
 // TestScanFirstPagePanic: a panicking Index.Scan ends the stream with
@@ -222,7 +222,7 @@ func TestScanFirstPagePanic(t *testing.T) {
 				d.Insert(k, k)
 			}
 			m := &server.Metrics{}
-			addr, _ := startIndex(t, &scanPanicIndex{Index: d, magic: magic}, d, server.Config{Metrics: m, Logf: t.Logf})
+			addr, _ := startIndex(t, &scanPanicIndex{writableIndex: d, magic: magic}, d, server.Config{Metrics: m, Logf: t.Logf})
 			bystander, err := client.Dial(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -264,7 +264,7 @@ func TestScanFirstPageOverload(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		d.Insert(k, k)
 	}
-	gi := &gateIndex{Index: d, gate: make(chan struct{}), magic: magic}
+	gi := &gateIndex{writableIndex: d, gate: make(chan struct{}), magic: magic}
 	m := &server.Metrics{}
 	addr, _ := startIndex(t, gi, d, server.Config{MaxInflight: 1, RetryAfter: 50 * time.Millisecond, Metrics: m})
 

@@ -69,20 +69,20 @@ import (
 //
 //dytis:ctxcheck
 
-// Index is the index surface the server serves, cluster.Index under the
-// server's name: *core.DyTIS (and therefore the public dytis.Index)
-// implements it, as does the durable wal.Store adapter. The index must be
-// safe for concurrent use: every connection drives it from its own
-// goroutine. A mutation may fail (closed index, write-ahead-log failure);
-// the error is answered as StatusErr on that request, nothing is retried
-// server-side.
+// Index is the read surface the server serves, cluster.Index under the
+// server's name. Writes go through the server's node, to the index's
+// cluster.Committer or its synchronous mutators (see cluster.NewNode). The
+// index must be safe for concurrent use: every connection drives it from
+// its own goroutine. A mutation may fail (closed index, write-ahead-log
+// failure); the error is answered as StatusErr on that request, nothing is
+// retried server-side.
 type Index = cluster.Index
 
 // Config configures a Server; Index is the only required field.
 type Config struct {
 	// Index is the served index. Every data operation reaches it through a
-	// cluster.Node: Cluster when set, else one the server builds over the
-	// whole key space.
+	// cluster.Node: Cluster when set, else one New builds over the whole key
+	// space, and New panics if cluster.NewNode refuses the index.
 	Index Index
 	// MaxConns caps simultaneously served connections (default 256). At the
 	// cap, further clients queue in the kernel accept backlog instead of
@@ -213,7 +213,11 @@ func New(cfg Config) *Server {
 	if s.node == nil {
 		// A node with no Dial and no map: it starts no goroutine, and with no
 		// cluster opcode reaching it, it only ever answers the data path.
-		s.node, _ = cluster.NewNode(cluster.NodeConfig{Index: cfg.Index, Lo: 0, Hi: ^uint64(0)})
+		node, err := cluster.NewNode(cluster.NodeConfig{Index: cfg.Index, Lo: 0, Hi: ^uint64(0)})
+		if err != nil {
+			panic("server: " + err.Error())
+		}
+		s.node = node
 	}
 	return s
 }

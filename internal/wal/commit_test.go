@@ -411,6 +411,28 @@ func TestSubmitBatches(t *testing.T) {
 	}
 }
 
+// TestInsertBatchLengthMismatch: an insert batch whose keys and values do
+// not pair up is refused with an error on both the synchronous and the
+// submitted path, logs nothing, and leaves the store healthy.
+func TestInsertBatchLengthMismatch(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), concurrentOpts(FsyncOff))
+	defer s.Close()
+	if err := s.InsertBatch([]uint64{1, 2}, []uint64{1}); err == nil {
+		t.Fatal("InsertBatch of 2 keys and 1 value succeeded")
+	}
+	submitted := make(chan error, 1)
+	s.Serving().SubmitInsertBatch([]uint64{1}, nil, func(_ bool, _ []bool, err error) { submitted <- err })
+	if err := <-submitted; err == nil {
+		t.Fatal("SubmitInsertBatch of 1 key and no value succeeded")
+	}
+	if n := s.Metrics().Appends(); n != 0 {
+		t.Fatalf("refused batches appended %d records", n)
+	}
+	if err := s.Insert(1, 1); err != nil {
+		t.Fatalf("Insert after the refused batches: %v", err)
+	}
+}
+
 // TestApplyPanicPoisonsStore: a panic out of the index while a logged group
 // is applied (here: the index closed behind the store's back) fails that
 // group and poisons the store; the committer's baton is released, so later

@@ -187,11 +187,8 @@ func (s *Store) Delete(key uint64) (bool, error) {
 // InsertBatch durably logs then applies a batch of inserts as one append:
 // the batch never spans two commit groups, so it costs at most one fsync.
 func (s *Store) InsertBatch(keys, vals []uint64) error {
-	if len(keys) != len(vals) {
-		panic("wal: InsertBatch keys/vals length mismatch")
-	}
-	if len(keys) == 0 {
-		return nil
+	if err := batchLengths(keys, vals); err != nil || len(keys) == 0 {
+		return err
 	}
 	o := newOp(kindInsertBatch)
 	o.keys, o.vals = keys, vals
@@ -199,6 +196,14 @@ func (s *Store) InsertBatch(keys, vals []uint64) error {
 	err := o.err
 	o.release()
 	return err
+}
+
+// batchLengths refuses an insert batch whose keys and values do not pair up.
+func batchLengths(keys, vals []uint64) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("wal: insert batch of %d keys and %d values", len(keys), len(vals))
+	}
+	return nil
 }
 
 // DeleteBatch durably logs then applies a batch of deletes, appending the
@@ -424,21 +429,13 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Serving adapts the Store to the server.Index interface plus
-// cluster.Committer, through which a server's node submits every mutation.
-// The batch mutation paths and every Submit method report log failures as
-// errors (the server answers StatusErr). The synchronous single-op paths
-// have no error return on that interface, so there a log failure panics —
-// deliberately fail-stop, because silently acking an unlogged write would
-// break the durability contract. A server reaches them only through its
-// node's handover paths, and its per-connection panic recovery converts the
-// panic into a StatusErr response and one closed connection. Either way
-// every later mutation keeps failing (the store is poisoned): a loud,
-// persistent signal, not quiet data loss.
+// Serving adapts the Store to server.Index — reads through — plus
+// cluster.Committer, the one way a node writes to it: every Submit reports
+// a log failure as its completion's error, and once the store is poisoned
+// every later one fails the same way. It has no synchronous mutator.
 func (s *Store) Serving() ServingIndex { return ServingIndex{s} }
 
-// ServingIndex is the server.Index adapter returned by Store.Serving; see
-// that method for the error-vs-panic contract.
+// ServingIndex is the adapter returned by Store.Serving.
 type ServingIndex struct {
 	s *Store
 }
@@ -459,11 +456,8 @@ func (x ServingIndex) SubmitDelete(key uint64, done doneFunc) {
 
 // SubmitInsertBatch queues a batch of inserts as one record group.
 func (x ServingIndex) SubmitInsertBatch(keys, vals []uint64, done doneFunc) {
-	if len(keys) != len(vals) {
-		panic("wal: SubmitInsertBatch keys/vals length mismatch")
-	}
-	if len(keys) == 0 {
-		done(false, nil, nil)
+	if err := batchLengths(keys, vals); err != nil || len(keys) == 0 {
+		done(false, nil, err)
 		return
 	}
 	o := newOp(kindInsertBatch)
@@ -494,22 +488,6 @@ func (x ServingIndex) Barrier() {
 // Get reads through.
 func (x ServingIndex) Get(key uint64) (uint64, bool) { return x.s.Get(key) }
 
-// Insert logs and applies; it panics on a log failure (see Store.Serving).
-func (x ServingIndex) Insert(key, value uint64) {
-	if err := x.s.Insert(key, value); err != nil {
-		panic(fmt.Sprintf("wal: durable insert failed: %v", err))
-	}
-}
-
-// Delete logs and applies; it panics on a log failure (see Store.Serving).
-func (x ServingIndex) Delete(key uint64) bool {
-	ok, err := x.s.Delete(key)
-	if err != nil {
-		panic(fmt.Sprintf("wal: durable delete failed: %v", err))
-	}
-	return ok
-}
-
 // Scan reads through.
 func (x ServingIndex) Scan(start uint64, max int, dst []kv.KV) []kv.KV {
 	return x.s.Scan(start, max, dst)
@@ -518,14 +496,6 @@ func (x ServingIndex) Scan(start uint64, max int, dst []kv.KV) []kv.KV {
 // GetBatch reads through.
 func (x ServingIndex) GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, []bool) {
 	return x.s.GetBatch(keys, vals, found)
-}
-
-// InsertBatch logs and applies; errors flow to the caller.
-func (x ServingIndex) InsertBatch(keys, vals []uint64) error { return x.s.InsertBatch(keys, vals) }
-
-// DeleteBatch logs and applies; errors flow to the caller.
-func (x ServingIndex) DeleteBatch(keys []uint64, found []bool) ([]bool, error) {
-	return x.s.DeleteBatch(keys, found)
 }
 
 // Len reads through.
