@@ -1,10 +1,10 @@
 package client
 
 // Cluster admin operations (protocol FeatCluster): shard introspection, map
-// installation, and the handover opcode family. dytis-ctl drives the first
-// two against operators' fingers; the import/mirror trio is what one shard
-// server speaks to another during a live handover (cluster.Peer), with
-// Client as the transport.
+// installation, and the handover opcode family, as endpoint methods that a
+// Client addresses to its home endpoint. dytis-ctl drives the first two;
+// the import/mirror trio is what one shard server speaks to another during
+// a live handover (cluster.Peer), with a Client from Dial as the transport.
 
 import (
 	"context"
@@ -46,9 +46,9 @@ type HandoverProgress struct {
 }
 
 // ShardInfo asks the server for its owned range, epoch, and handover state.
-func (c *Client) ShardInfo(ctx context.Context) (ShardInfo, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpShardInfo})
-	if err != nil {
+func (e *endpoint) ShardInfo(ctx context.Context) (ShardInfo, error) {
+	var resp proto.Response
+	if err := e.do(ctx, &proto.Request{Op: proto.OpShardInfo}, &resp); err != nil {
 		return ShardInfo{}, err
 	}
 	return ShardInfo{Lo: resp.Lo, Hi: resp.Hi, Epoch: resp.Epoch, State: resp.State}, nil
@@ -56,9 +56,9 @@ func (c *Client) ShardInfo(ctx context.Context) (ShardInfo, error) {
 
 // ShardMap fetches the server's current encoded shard map
 // (cluster.DecodeMap parses it).
-func (c *Client) ShardMap(ctx context.Context) ([]byte, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpMapGet})
-	if err != nil {
+func (e *endpoint) ShardMap(ctx context.Context) ([]byte, error) {
+	var resp proto.Response
+	if err := e.do(ctx, &proto.Request{Op: proto.OpMapGet}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.MapBlob, nil
@@ -70,23 +70,21 @@ func (c *Client) ShardMap(ctx context.Context) ([]byte, error) {
 // de-own any range no completed handover covers — this call is the cutover
 // step of a handover, in owner order: de-own on the old owner first, then
 // grant on the new one.
-func (c *Client) SetShardMap(ctx context.Context, selfLo, selfHi uint64, blob []byte) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpMapSet, Lo: selfLo, Hi: selfHi, MapBlob: blob})
-	return err
+func (e *endpoint) SetShardMap(ctx context.Context, selfLo, selfHi uint64, blob []byte) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpMapSet, Lo: selfLo, Hi: selfHi, MapBlob: blob}, new(proto.Response))
 }
 
 // HandoverStart tells the server to begin migrating its owned subrange
 // [lo, hi] to the shard server at addr: bulk copy plus double-written
 // writes until a SetShardMap cuts the range over. Poll with HandoverStatus.
-func (c *Client) HandoverStart(ctx context.Context, lo, hi uint64, addr string) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpHandoverStart, Lo: lo, Hi: hi, Addr: addr})
-	return err
+func (e *endpoint) HandoverStart(ctx context.Context, lo, hi uint64, addr string) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpHandoverStart, Lo: lo, Hi: hi, Addr: addr}, new(proto.Response))
 }
 
 // HandoverStatus polls the server's current (or last) handover.
-func (c *Client) HandoverStatus(ctx context.Context) (HandoverProgress, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpHandoverStatus})
-	if err != nil {
+func (e *endpoint) HandoverStatus(ctx context.Context) (HandoverProgress, error) {
+	var resp proto.Response
+	if err := e.do(ctx, &proto.Request{Op: proto.OpHandoverStatus}, &resp); err != nil {
 		return HandoverProgress{}, err
 	}
 	return HandoverProgress{
@@ -100,32 +98,29 @@ func (c *Client) HandoverStatus(ctx context.Context) (HandoverProgress, error) {
 // the target, replay writes journaled while suspended, and continue the
 // bulk copy from the watermark (or from scratch if the target restarted
 // empty). Fails if the server has no handover or it is not suspended.
-func (c *Client) HandoverResume(ctx context.Context) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpHandoverResume})
-	return err
+func (e *endpoint) HandoverResume(ctx context.Context) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpHandoverResume}, new(proto.Response))
 }
 
 // HandoverAbort abandons the server's current handover in any state,
 // scrubbing the partially-imported range from the target (best-effort when
 // the target is unreachable). The server can then start a fresh handover.
-func (c *Client) HandoverAbort(ctx context.Context) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpHandoverAbort})
-	return err
+func (e *endpoint) HandoverAbort(ctx context.Context) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpHandoverAbort}, new(proto.Response))
 }
 
 // ImportStart opens an import session for [lo, hi] on the server — the
 // target half of a handover. Server-to-server use.
-func (c *Client) ImportStart(ctx context.Context, lo, hi uint64) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpImportStart, Lo: lo, Hi: hi})
-	return err
+func (e *endpoint) ImportStart(ctx context.Context, lo, hi uint64) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpImportStart, Lo: lo, Hi: hi}, new(proto.Response))
 }
 
 // ImportBatch streams one bulk-copy page into the open import session,
 // returning how many pairs the server actually applied (pairs already
 // superseded by mirrored writes are skipped). Server-to-server use.
-func (c *Client) ImportBatch(ctx context.Context, keys, vals []uint64) (applied uint64, err error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpImportBatch, Keys: keys, Vals: vals})
-	if err != nil {
+func (e *endpoint) ImportBatch(ctx context.Context, keys, vals []uint64) (applied uint64, err error) {
+	var resp proto.Response
+	if err := e.do(ctx, &proto.Request{Op: proto.OpImportBatch, Keys: keys, Vals: vals}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Applied, nil
@@ -133,9 +128,8 @@ func (c *Client) ImportBatch(ctx context.Context, keys, vals []uint64) (applied 
 
 // ImportEnd closes the import session: commit keeps the imported range
 // (the cutover is granting it), abort scrubs it. Server-to-server use.
-func (c *Client) ImportEnd(ctx context.Context, commit bool) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpImportEnd, Commit: commit})
-	return err
+func (e *endpoint) ImportEnd(ctx context.Context, commit bool) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpImportEnd, Commit: commit}, new(proto.Response))
 }
 
 // ImportResume re-attaches to an import session for [lo, hi] on the server
@@ -143,9 +137,9 @@ func (c *Client) ImportEnd(ctx context.Context, commit bool) error {
 // is false and applied reports how many pairs it already holds; if the
 // server restarted (session lost), a new empty session is opened and fresh
 // is true, telling the source to recopy from scratch. Server-to-server use.
-func (c *Client) ImportResume(ctx context.Context, lo, hi uint64) (fresh bool, applied uint64, err error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpImportResume, Lo: lo, Hi: hi})
-	if err != nil {
+func (e *endpoint) ImportResume(ctx context.Context, lo, hi uint64) (fresh bool, applied uint64, err error) {
+	var resp proto.Response
+	if err := e.do(ctx, &proto.Request{Op: proto.OpImportResume, Lo: lo, Hi: hi}, &resp); err != nil {
 		return false, 0, err
 	}
 	return resp.Fresh, resp.Applied, nil
@@ -155,17 +149,16 @@ func (c *Client) ImportResume(ctx context.Context, lo, hi uint64) (fresh bool, a
 // write (or delete, when del) of key that the source has already applied
 // locally and must see acknowledged before acking its own client.
 // Server-to-server use.
-func (c *Client) Mirror(ctx context.Context, del bool, key, val uint64) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpMirror, Del: del, Key: key, Val: val})
-	return err
+func (e *endpoint) Mirror(ctx context.Context, del bool, key, val uint64) error {
+	return e.do(ctx, &proto.Request{Op: proto.OpMirror, Del: del, Key: key, Val: val}, new(proto.Response))
 }
 
 // RequireCluster verifies the connection negotiated the cluster opcode
 // family, failing with a descriptive error otherwise. Callers about to
 // drive admin opcodes use it to fail fast with a better message than the
 // server's quarantine.
-func (c *Client) RequireCluster(ctx context.Context) error {
-	_, feats, err := c.Protocol(ctx)
+func (e *endpoint) RequireCluster(ctx context.Context) error {
+	_, feats, err := e.Protocol(ctx)
 	if err != nil {
 		return err
 	}

@@ -3,48 +3,42 @@
 // pipelining, connection pooling, batch helpers, context-based timeouts,
 // and bounded reconnect with exponential backoff.
 //
+// There is one client type, Client, and it always routes: every operation
+// goes, by a shard map, to the endpoint (one server address's connection
+// pool) that owns its key. Dial makes a one-shard map giving its address
+// the whole key space; DialCluster fetches the cluster's map from a seed
+// and adopts the newer maps the servers' redirects carry. Routing is a
+// load, a binary search and an index, and a batch whose keys fall in one
+// shard goes to it unsplit.
+//
 // A Client is safe for concurrent use and that is the intended way to use
-// it: goroutines issuing requests on the same Client share its pooled
-// connections, and because every request carries an id that the server
-// echoes, many requests ride one connection concurrently — the write side
-// gathers the frames of callers that arrive together into one write, the
-// read loop routes each response to its waiter. A
-// single goroutine gets pipelining for free the same way by issuing batch
-// calls (GetBatch/InsertBatch/DeleteBatch), which amortize both framing and
-// the server's per-op dispatch.
+// it: many requests ride one connection at once, each carrying an id the
+// server echoes. The write side gathers the frames of callers that arrive
+// together into one write and the read loop routes each response to its
+// waiter; batch calls (GetBatch/InsertBatch/DeleteBatch) amortize framing
+// and the server's per-op dispatch for a single goroutine.
 //
 // Every connection opens with the protocol v2 handshake: a server that does
 // not grant checksums and streamed scans fails the dial, and every frame
 // after the handshake carries a CRC32C trailer in both directions.
 //
-// Error semantics: an operation fails with the server's error for rejected
-// requests, with ctx.Err() on timeout/cancellation, and with a connection
-// error when the link dies mid-flight (e.g. the server restarts). The
-// client never silently retries an operation after its bytes may have
-// reached the server — a failed Insert may or may not have applied, and
-// only the caller knows whether re-issuing is safe — but the next operation
-// on the client transparently redials (bounded attempts, jittered
-// exponential backoff), so a restarted server resumes service without new
-// Dial calls.
+// Errors: an operation fails with the server's error for rejected requests,
+// with ctx.Err() on timeout/cancellation, and with a connection error when
+// the link dies mid-flight. The client never retries an operation whose
+// bytes may have reached the server — a failed Insert may or may not have
+// applied — except after a redirect (StatusWrongShard), which says the
+// request was not applied. The next operation redials transparently
+// (bounded attempts, jittered exponential backoff), so a restarted server
+// resumes service without a new Dial. A shed request matches ErrOverload
+// (*OverloadError carries the retry-after hint); each endpoint's circuit
+// breaker (WithCircuitBreaker) fails operations fast with ErrCircuitOpen
+// after enough consecutive connection failures or overloads, until a
+// half-open probe succeeds. A context deadline travels on the wire, so the
+// server can skip requests whose caller has given up.
 //
-// Overload and failure handling: when the server sheds a request under
-// admission control, the operation fails with an error matching
-// ErrOverload, and errors.As against *OverloadError yields the server's
-// retry-after hint. A circuit breaker (see WithCircuitBreaker) watches
-// connection-level failures and overloads: after enough consecutive ones
-// it opens, failing operations instantly with ErrCircuitOpen instead of
-// hammering a struggling server, and after a cooldown it lets a single
-// probe through (half-open) — one success closes it again. When the
-// calling context carries a deadline, the remaining budget is propagated
-// to the server on the wire, letting it skip requests whose caller has
-// already given up.
-//
-// Close semantics: Close is idempotent and safe to call concurrently with
-// operations. It closes every pooled connection; operations blocked on a
-// response fail promptly, and every entry point called after Close —
-// including ones racing with it — returns an error matching
-// ErrClientClosed. A closed client never redials; create a new Client with
-// Dial to reconnect.
+// Close is idempotent and safe to call concurrently with operations: it
+// closes every pooled connection, and every entry point called after it
+// returns an error matching ErrClientClosed.
 //
 //	c, err := client.Dial("127.0.0.1:7070")
 //	defer c.Close()
@@ -59,12 +53,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dytis/internal/cluster"
 	"dytis/internal/proto"
 )
 
@@ -115,8 +111,10 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverload }
 // ErrWrongShard matches (via errors.Is) operations a shard server answered
 // with StatusWrongShard: the key (or scan epoch) no longer belongs to it.
 // errors.As with *WrongShardError recovers the server's current shard map.
-// Cluster handles these transparently; it surfaces only from Client used
-// directly against a shard server.
+// A client from DialCluster follows these redirects on its point ops and
+// batches, so there it surfaces only inside a RoutingError or from a scan;
+// a client from Dial has no map to follow them with and returns them as
+// they come.
 var ErrWrongShard = errors.New("client: wrong shard")
 
 // WrongShardError is the typed error of a request redirected by a shard
@@ -136,7 +134,8 @@ func (e *WrongShardError) Error() string {
 // Is makes errors.Is(err, ErrWrongShard) match.
 func (e *WrongShardError) Is(target error) bool { return target == ErrWrongShard }
 
-// Option configures a Client at Dial time.
+// Option configures a Client at Dial or DialCluster time; every endpoint
+// the client opens shares the options.
 type Option func(*options)
 
 // Dialer opens the client's transport connections; the default is a plain
@@ -262,317 +261,387 @@ func WithScanStream(chunk, window int) Option {
 	}
 }
 
-// Client is a pooled, pipelining dytis-server client. Create with Dial; all
-// methods are safe for concurrent use.
+// Client is a pooled, pipelining, routed dytis client. Create with Dial or
+// DialCluster; all methods are safe for concurrent use.
+//
+// The embedded endpoint is the client's home: the address Dial was given,
+// or the seed that answered DialCluster. The admin opcodes (ShardInfo,
+// SetShardMap, the handover and import families), Protocol, RequireCluster
+// and ScanStreamAt address it alone; the data ops go wherever the route
+// sends them.
 type Client struct {
-	addr string
-	o    options
-	br   *breaker // nil when the breaker is disabled
+	*endpoint
 
-	slots  []*slot // fixed at Dial; slots have their own locks
-	rr     atomic.Uint64
-	closed atomic.Bool
+	o  *options
+	rt atomic.Pointer[route] // the adopted map and its endpoints; never nil once dialed
+	// local marks Dial's client: its route is the one-shard map it made
+	// itself, never replaced, so a redirect is returned, not followed.
+	local bool
+
+	mu     sync.RWMutex
+	eps    map[string]*endpoint       // guarded-by: mu — one per address the client has routed to
+	health map[string]*EndpointHealth // guarded-by: mu — per-address failure streaks
+	shut   bool                       // guarded-by: mu — Close ran
+
+	// sick counts health entries with Fails > 0. It changes only while mu
+	// is held, so it is exact; noteResult reads it lock-free to skip mu
+	// entirely for a healthy result when no endpoint is mid-streak.
+	sick atomic.Int32
 }
 
-// breaker is the client's circuit breaker. States: closed (normal), open
-// (fail fast until cooldown), half-open (one probe in flight). Connection
-// failures and overloads count; responses received from the server — even
-// error responses — and caller-side context expiries do not.
-type breaker struct {
-	trips    int
-	cooldown time.Duration
+// Cluster is Client under the name the routed client used to have.
+type Cluster = Client
 
-	mu       sync.Mutex
-	fails    int       // guarded-by: mu — consecutive trip-class failures
-	openedAt time.Time // guarded-by: mu — zero when closed
-	probing  bool      // guarded-by: mu — a half-open probe is in flight
+// route is one adopted shard map with its endpoints resolved: eps[i]
+// serves m.Shards[i].
+type route struct {
+	m   *cluster.Map
+	eps []*endpoint
 }
 
-// allow gates an operation: nil to proceed, ErrCircuitOpen to fail fast.
-func (b *breaker) allow() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.openedAt.IsZero() {
-		return nil
+// oneShard is the route of a single endpoint owning the whole key space.
+func oneShard(e *endpoint, epoch uint64) *route {
+	m := &cluster.Map{Epoch: epoch, Shards: []cluster.Shard{{Lo: 0, Hi: ^uint64(0), Addr: e.addr}}}
+	return &route{m: m, eps: []*endpoint{e}}
+}
+
+// shard returns the index of the shard owning key. A malformed map that
+// misses key routes to the last shard, whose server redirects.
+func (r *route) shard(key uint64) int {
+	sh := r.m.Shards
+	return min(sort.Search(len(sh), func(i int) bool { return sh[i].Hi >= key }), len(sh)-1)
+}
+
+// owner returns the shard owning every key req carries, and false when
+// its keys span shards.
+func (r *route) owner(req *proto.Request) (int, bool) {
+	if len(r.eps) == 1 || len(req.Keys) == 0 {
+		return r.shard(req.Key), true
 	}
-	if time.Since(b.openedAt) < b.cooldown || b.probing {
-		return ErrCircuitOpen
-	}
-	b.probing = true // half-open: exactly one probe
-	return nil
-}
-
-// record books an operation's outcome. verdict trips the breaker on
-// breakerTrip, closes it on breakerOK, and leaves it untouched otherwise.
-func (b *breaker) record(v breakerVerdict) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch v {
-	case breakerOK:
-		b.fails = 0
-		b.openedAt = time.Time{}
-		b.probing = false
-	case breakerTrip:
-		b.fails++
-		b.probing = false
-		if b.fails >= b.trips {
-			b.openedAt = time.Now()
+	i := r.shard(req.Keys[0])
+	s := r.m.Shards[i]
+	for _, k := range req.Keys[1:] {
+		if !s.Contains(k) {
+			return i, false
 		}
-	default: // breakerNeutral: a probe slot must still be released
-		b.probing = false
 	}
+	return i, true
 }
 
-type breakerVerdict int
-
-const (
-	breakerNeutral breakerVerdict = iota // ctx expiry, client closed
-	breakerOK                            // a response arrived (even an error response)
-	breakerTrip                          // connection failure or overload
-)
-
-// classify maps an operation error to its breaker verdict.
-func classify(err error, gotResponse bool) breakerVerdict {
-	switch {
-	case err == nil:
-		return breakerOK
-	case errors.Is(err, ErrOverload):
-		return breakerTrip
-	case errors.Is(err, ErrClientClosed),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		return breakerNeutral
-	case gotResponse:
-		// The server answered (e.g. StatusBadRequest): the link is healthy.
-		return breakerOK
-	default:
-		return breakerTrip // dial, write, or read failure
-	}
-}
-
-// slot is one pool position: a live connection, or a cooldown record from
-// its last failure that the next user must respect before redialing.
-type slot struct {
-	// cc is stored under mu and loaded without it: the common case of
-	// Client.conn is this load and the connection's dead flag.
-	cc atomic.Pointer[clientConn]
-
-	mu       sync.Mutex
-	failures int       // guarded-by: mu — consecutive dial/IO failures
-	lastFail time.Time // guarded-by: mu — when the last one happened
-}
-
-// Dial connects to a dytis-server at addr. The first connection is
-// established eagerly so an unreachable address fails here, not on the
-// first operation.
-func Dial(addr string, opts ...Option) (*Client, error) {
+func newClient(opts []Option) *Client {
 	o := defaultOptions()
 	for _, apply := range opts {
 		apply(&o)
 	}
-	c := &Client{addr: addr, o: o, slots: make([]*slot, o.poolSize)}
-	if o.breakTrips > 0 {
-		c.br = &breaker{trips: o.breakTrips, cooldown: o.breakCool}
+	return &Client{
+		o:      &o,
+		eps:    make(map[string]*endpoint),
+		health: make(map[string]*EndpointHealth),
 	}
-	for i := range c.slots {
-		c.slots[i] = &slot{}
-	}
-	cc, err := c.dialConn()
+}
+
+// Dial connects to the dytis-server at addr. The client routes by a local
+// map that gives addr the whole key space: no map is fetched and the
+// cluster feature is not needed. The first connection is established
+// eagerly so an unreachable address fails here, not on the first
+// operation.
+func Dial(addr string, opts ...Option) (*Client, error) {
+	c := newClient(opts)
+	c.mu.Lock()
+	e := c.endpointLocked(addr)
+	c.mu.Unlock()
+	cc, err := e.dialConn()
 	if err != nil {
 		return nil, err
 	}
-	c.slots[0].cc.Store(cc)
+	e.slots[0].cc.Store(cc)
+	e.up.Store(true)
+	c.endpoint, c.local = e, true
+	c.rt.Store(oneShard(e, 0))
 	return c, nil
 }
 
-// Protocol returns the protocol version and the feature bits the server
-// granted a live pooled connection. The version is always proto.Version2,
-// the only one the client speaks.
-func (c *Client) Protocol(ctx context.Context) (version uint8, features uint32, err error) {
-	cc, err := c.conn(ctx)
-	if err != nil {
-		return 0, 0, err
+// DialCluster connects to a sharded deployment: it asks seeds in order
+// until one provides a shard map, then routes by it. That seed is the
+// client's home endpoint. Every other endpoint dials when it is first
+// used.
+func DialCluster(seeds []string, opts ...Option) (*Client, error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("client: DialCluster needs at least one seed address")
 	}
-	return proto.Version2, cc.feats, nil
+	c := newClient(opts)
+	var lastErr error = ErrNoShardMap
+	for _, addr := range seeds {
+		e, err := c.endpointFor(addr)
+		if err != nil {
+			return nil, err
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), c.o.dialTimeout)
+		blob, err := e.ShardMap(ctx)
+		cancel()
+		if err == nil {
+			err = c.adopt(blob)
+		}
+		if err != nil {
+			lastErr = fmt.Errorf("client: shard map from seed %s: %w", addr, err)
+			continue
+		}
+		c.endpoint = e
+		return c, nil
+	}
+	c.Close()
+	return nil, lastErr
 }
 
-// Close shuts the client down: all pooled connections close, their
-// in-flight requests fail, and every later operation returns an error
-// matching ErrClientClosed. Close is idempotent and safe to call
-// concurrently with operations.
+// Close closes every endpoint's connections. Idempotent.
 func (c *Client) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	for _, s := range c.slots {
-		s.mu.Lock()
-		if cc := s.cc.Swap(nil); cc != nil {
-			cc.fail(ErrClientClosed)
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	eps := c.eps
+	c.eps, c.shut = nil, true
+	c.mu.Unlock()
+	for _, e := range eps {
+		e.close()
 	}
 	return nil
 }
 
-// conn returns a live connection from the pool, redialing its slot if the
-// previous connection died — waiting out the slot's backoff first, bounded
-// by both the reconnect budget and ctx.
-func (c *Client) conn(ctx context.Context) (*clientConn, error) {
-	s := c.slots[0]
-	if len(c.slots) > 1 {
-		s = c.slots[c.rr.Add(1)%uint64(len(c.slots))]
-	}
-	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() {
-		return cc, nil
-	}
+// Map returns the client's current shard map; for a client from Dial it is
+// the local one-shard map at epoch 0.
+func (c *Client) Map() *cluster.Map { return c.rt.Load().m }
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Checked under the slot lock: Close sets the flag before it visits the
-	// slots, so a connection dialed past this point is one Close will find.
-	if c.closed.Load() {
+// Epoch returns the epoch of the client's current shard map.
+func (c *Client) Epoch() uint64 { return c.Map().Epoch }
+
+// endpointFor returns (creating, undialed, if needed) the endpoint for addr.
+func (c *Client) endpointFor(addr string) (*endpoint, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shut {
 		return nil, ErrClientClosed
 	}
-	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() { // another goroutine redialed
-		return cc, nil
+	return c.endpointLocked(addr), nil
+}
+
+//dytis:locked c.mu w
+func (c *Client) endpointLocked(addr string) *endpoint {
+	e := c.eps[addr]
+	if e == nil {
+		e = newEndpoint(addr, c.o)
+		c.eps[addr] = e
 	}
-	s.cc.Store(nil)
-	var lastErr error
-	for try := 0; try < c.o.redials; try++ {
-		if wait := c.backoff(s); wait > 0 {
-			s.mu.Unlock()
-			err := sleepCtx(ctx, wait)
-			s.mu.Lock()
-			if err != nil {
-				return nil, err
+	return e
+}
+
+// adopt installs the map encoded in blob, with its endpoints resolved, if
+// it is newer than the current one (or there is none yet). A redirect's
+// caller ignores the error of an empty or unparseable blob: the redirect
+// itself already says "re-route", and the retry loop's backoff covers the
+// case where the server had nothing better to offer.
+func (c *Client) adopt(blob []byte) error {
+	m, err := cluster.DecodeMap(blob)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur := c.rt.Load(); !c.shut && (cur == nil || m.Epoch > cur.m.Epoch) {
+		r := &route{m: m, eps: make([]*endpoint, len(m.Shards))}
+		for i, s := range m.Shards {
+			r.eps[i] = c.endpointLocked(s.Addr)
+		}
+		c.rt.Store(r)
+	}
+	return nil
+}
+
+// send runs req on e and books the outcome in e's health streak.
+func (c *Client) send(ctx context.Context, e *endpoint, req *proto.Request, resp *proto.Response) error {
+	err := e.do(ctx, req, resp)
+	c.noteResult(e.addr, err)
+	return err
+}
+
+// redirected reports whether err is a redirect this client follows, and
+// adopts the map it carries.
+func (c *Client) redirected(err error) bool {
+	if err == nil || c.local {
+		return false
+	}
+	var ws *WrongShardError
+	if !errors.As(err, &ws) {
+		return false
+	}
+	_ = c.adopt(ws.MapBlob) // unusable: the retry routes by the current map
+	return true
+}
+
+// call sends req to the owner of its key, or of its keys, following
+// redirects. A request one shard owns whole — every point op, and a batch
+// whose keys all fall in one shard's range — goes to that shard as it is,
+// with the caller's slices, on the caller's goroutine; a batch spanning
+// shards is split (see split). A redirect's map is adopted when newer and
+// what it bounced is re-routed after a backoff that rides out a cutover's
+// fail-closed window, where for a moment no server owns the key.
+//
+// The answer is stored into *resp; a split batch's is its Vals and Founds.
+func (c *Client) call(ctx context.Context, req *proto.Request, resp *proto.Response) error {
+	var (
+		pend    []int // a split batch's unapplied keys, by index; nil: the whole req
+		vals    []uint64
+		founds  []bool
+		lastErr error
+	)
+	backoff := clusterBackoffMin
+	for attempt := 0; attempt < clusterAttempts; attempt++ {
+		if attempt > 0 {
+			if err := sleepCtx(ctx, backoff); err != nil {
+				return err
 			}
-			if c.closed.Load() {
-				return nil, ErrClientClosed
+			backoff = min(2*backoff, clusterBackoffMax)
+		}
+		rt := c.rt.Load()
+		if pend == nil {
+			if i, whole := rt.owner(req); whole {
+				err := c.send(ctx, rt.eps[i], req, resp)
+				if !c.redirected(err) {
+					return err
+				}
+				lastErr = err
+				continue
 			}
-			if cc := s.cc.Load(); cc != nil && !cc.dead.Load() { // another goroutine redialed
-				return cc, nil
+			n := len(req.Keys)
+			pend = make([]int, n)
+			for i := range pend {
+				pend[i] = i
+			}
+			switch req.Op {
+			case proto.OpGetBatch:
+				vals, founds = make([]uint64, n), make([]bool, n)
+			case proto.OpDeleteBatch:
+				founds = make([]bool, n)
 			}
 		}
-		cc, err := c.dialConn()
-		if err != nil {
-			lastErr = err
-			s.failures++
-			s.lastFail = time.Now()
+		var err error
+		if pend, lastErr, err = c.split(ctx, rt, req.Op, req.Keys, req.Vals, pend, vals, founds); err != nil {
+			return err
+		}
+		if len(pend) == 0 {
+			resp.Vals, resp.Founds = vals, founds
+			return nil
+		}
+	}
+	rerr := &RoutingError{Op: "point op", Attempts: clusterAttempts, Pending: 1, LastErr: lastErr}
+	if req.Keys != nil {
+		rerr.Op, rerr.Pending = "batch", len(pend)
+		if pend == nil {
+			rerr.Pending = len(req.Keys)
+		}
+	}
+	return rerr
+}
+
+// split runs the pending keys of one batch as one sub-batch per owning
+// shard, issued concurrently — the last on the caller's goroutine, which
+// would otherwise only wait — and scatters the answers into vals and
+// founds (when non-nil) at the keys' input positions. It returns the keys
+// a shard redirected, for the caller to re-split against the adopted map;
+// any other failure fails the whole batch (sub-batches already applied
+// stay applied: a batch is an amortization, not a transaction).
+func (c *Client) split(ctx context.Context, rt *route, op proto.Opcode, keys, kvals []uint64, pend []int,
+	vals []uint64, founds []bool) (redirected []int, lastErr, err error) {
+	groups := make([][]int, len(rt.eps))
+	last := 0
+	for _, i := range pend {
+		s := rt.shard(keys[i])
+		groups[s] = append(groups[s], i)
+		last = max(last, s)
+	}
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	run := func(e *endpoint, idxs []int) {
+		req := &proto.Request{Op: op, Keys: make([]uint64, len(idxs))}
+		if kvals != nil {
+			req.Vals = make([]uint64, len(idxs))
+		}
+		for j, i := range idxs {
+			req.Keys[j] = keys[i]
+			if kvals != nil {
+				req.Vals[j] = kvals[i]
+			}
+		}
+		var resp proto.Response
+		rerr := c.send(ctx, e, req, &resp)
+		if rerr == nil && (vals != nil && len(resp.Vals) != len(idxs) || founds != nil && len(resp.Founds) != len(idxs)) {
+			rerr = fmt.Errorf("client: shard %s answered %d/%d results for %d keys", e.addr, len(resp.Vals), len(resp.Founds), len(idxs))
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case rerr == nil:
+			for j, i := range idxs {
+				if vals != nil {
+					vals[i] = resp.Vals[j]
+				}
+				if founds != nil {
+					founds[i] = resp.Founds[j]
+				}
+			}
+		case c.redirected(rerr):
+			redirected = append(redirected, idxs...)
+			lastErr = rerr
+		case err == nil:
+			err = rerr
+		}
+	}
+	for s, idxs := range groups {
+		switch {
+		case len(idxs) == 0:
+		case s == last:
+			run(rt.eps[s], idxs)
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(rt.eps[s], idxs)
+			}()
+		}
+	}
+	wg.Wait() //dytis:blocking-ok each group's op runs under the caller's ctx, so the join is bounded by it
+	return redirected, lastErr, err
+}
+
+// each sends one request of opcode op to every endpoint of the route once,
+// in shard order, and sums the answers' values; the first failure ends it.
+func (c *Client) each(ctx context.Context, op proto.Opcode) (sum uint64, err error) {
+	eps := c.rt.Load().eps
+	for i, e := range eps {
+		if slices.Contains(eps[:i], e) {
 			continue
 		}
-		s.cc.Store(cc)
-		s.failures = 0
-		return cc, nil
-	}
-	return nil, fmt.Errorf("client: reconnect to %s failed after %d attempts: %w", c.addr, c.o.redials, lastErr)
-}
-
-// backoff returns how long the slot's cooldown still has to run. The
-// exponential base is jittered ±25% so a client fleet whose server just
-// restarted does not redial in lockstep (a thundering herd re-creates the
-// overload that killed the server).
-//
-//dytis:locked s.mu
-func (c *Client) backoff(s *slot) time.Duration {
-	if s.failures == 0 {
-		return 0
-	}
-	d := c.o.backoffMin << (s.failures - 1)
-	if d > c.o.backoffMax || d <= 0 {
-		d = c.o.backoffMax
-	}
-	d = time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
-	if elapsed := time.Since(s.lastFail); elapsed < d {
-		return d - elapsed
-	}
-	return 0
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// do sends req on a pooled connection and waits for its response, gated by
-// the circuit breaker and with the ctx deadline budget propagated on the
-// wire.
-func (c *Client) do(ctx context.Context, req *proto.Request) (proto.Response, error) {
-	if c.br != nil {
-		if err := c.br.allow(); err != nil {
-			return proto.Response{}, err
+		var resp proto.Response
+		if err := c.send(ctx, e, &proto.Request{Op: op}, &resp); err != nil {
+			return 0, err
 		}
+		sum += resp.Val
 	}
-	resp, answered, err := c.doOnce(ctx, req)
-	if c.br != nil {
-		c.br.record(classify(err, answered))
-	}
-	return resp, err
-}
-
-// doOnce is one attempt: pick (or redial) a connection, send, wait, and
-// map error statuses to typed errors. answered alongside a non-nil error
-// means the server answered — the link itself is healthy.
-func (c *Client) doOnce(ctx context.Context, req *proto.Request) (resp proto.Response, answered bool, err error) {
-	cc, err := c.conn(ctx)
-	if err != nil {
-		return resp, false, err
-	}
-	if resp, err = cc.do(ctx, req); err != nil {
-		return resp, false, err
-	}
-	serr, retire := statusErr(&resp)
-	if retire {
-		cc.fail(serr)
-	}
-	return resp, true, serr
-}
-
-// statusErr maps a response's status to the client's typed error surface;
-// retire reports that the connection can no longer be trusted and must be
-// failed. Every status the protocol defines must be mapped here — a new one
-// falling silently into the generic branch would lose its typed meaning —
-// so the switch is exhaustive (protocheck enforces it).
-func statusErr(resp *proto.Response) (err error, retire bool) {
-	//dytis:opswitch statuses
-	switch resp.Status {
-	case proto.StatusOK:
-		return nil, false
-	case proto.StatusOverload:
-		ra, _ := resp.RetryAfter()
-		return &OverloadError{RetryAfter: ra}, false
-	case proto.StatusChecksum:
-		// The server detected corruption in a frame we sent and is about to
-		// quarantine the connection; retire it on this side too.
-		return fmt.Errorf("%w (detected server-side)", ErrFrameCorrupt), true
-	case proto.StatusWrongShard:
-		// The key (or scan epoch) does not belong to the server anymore; the
-		// attached map, when present, is the one to re-route from.
-		return &WrongShardError{MapBlob: resp.MapBlob, Msg: resp.Msg}, false
-	case proto.StatusBadRequest, proto.StatusShuttingDown,
-		proto.StatusErr, proto.StatusDeadlineExceeded:
-		return resp.Err(), false
-	}
-	return resp.Err(), false
+	return sum, nil
 }
 
 // --- operations -------------------------------------------------------------
 
-// Ping round-trips an empty request.
+// Ping round-trips an empty request to every shard's server, failing on
+// the first dead one.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpPing})
+	_, err := c.each(ctx, proto.OpPing)
 	return err
 }
 
 // Get returns the value stored under key and whether it exists.
 func (c *Client) Get(ctx context.Context, key uint64) (uint64, bool, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpGet, Key: key})
-	if err != nil {
+	var resp proto.Response
+	if err := c.call(ctx, &proto.Request{Op: proto.OpGet, Key: key}, &resp); err != nil {
 		return 0, false, err
 	}
 	return resp.Val, resp.Found, nil
@@ -580,53 +649,53 @@ func (c *Client) Get(ctx context.Context, key uint64) (uint64, bool, error) {
 
 // Insert stores or updates value under key.
 func (c *Client) Insert(ctx context.Context, key, value uint64) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpInsert, Key: key, Val: value})
-	return err
+	return c.call(ctx, &proto.Request{Op: proto.OpInsert, Key: key, Val: value}, new(proto.Response))
 }
 
 // Delete removes key, reporting whether it was present.
 func (c *Client) Delete(ctx context.Context, key uint64) (bool, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpDelete, Key: key})
-	if err != nil {
+	var resp proto.Response
+	if err := c.call(ctx, &proto.Request{Op: proto.OpDelete, Key: key}, &resp); err != nil {
 		return false, err
 	}
 	return resp.Found, nil
 }
 
-// GetBatch looks up every key of keys in one round trip, returning parallel
-// result slices (vals[i], found[i] answer keys[i]). At most proto.MaxBatch
-// (65536) keys per call.
+// GetBatch looks up every key of keys, returning parallel result slices
+// (vals[i], found[i] answer keys[i]): one round trip per shard the keys
+// fall in. At most proto.MaxBatch (65536) keys per call.
 func (c *Client) GetBatch(ctx context.Context, keys []uint64) (vals []uint64, found []bool, err error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpGetBatch, Keys: keys})
-	if err != nil {
+	var resp proto.Response
+	if err := c.call(ctx, &proto.Request{Op: proto.OpGetBatch, Keys: keys}, &resp); err != nil {
 		return nil, nil, err
 	}
 	return resp.Vals, resp.Founds, nil
 }
 
-// InsertBatch stores vals[i] under keys[i] for every i in one round trip.
-// At most proto.MaxBatch pairs per call; the batch is not atomic on the
-// server, it is an amortization.
+// InsertBatch stores vals[i] under keys[i] for every i, one round trip per
+// shard the keys fall in. At most proto.MaxBatch pairs per call; the batch
+// is not atomic on the server, it is an amortization.
 func (c *Client) InsertBatch(ctx context.Context, keys, vals []uint64) error {
-	_, err := c.do(ctx, &proto.Request{Op: proto.OpInsertBatch, Keys: keys, Vals: vals})
-	return err
+	if len(keys) != len(vals) {
+		return fmt.Errorf("client: InsertBatch keys/vals length mismatch (%d vs %d)", len(keys), len(vals))
+	}
+	return c.call(ctx, &proto.Request{Op: proto.OpInsertBatch, Keys: keys, Vals: vals}, new(proto.Response))
 }
 
-// DeleteBatch removes every key of keys in one round trip, returning
-// whether each was present.
+// DeleteBatch removes every key of keys, returning whether each was
+// present, in the input's order.
 func (c *Client) DeleteBatch(ctx context.Context, keys []uint64) ([]bool, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpDeleteBatch, Keys: keys})
-	if err != nil {
+	var resp proto.Response
+	if err := c.call(ctx, &proto.Request{Op: proto.OpDeleteBatch, Keys: keys}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Founds, nil
 }
 
-// Len returns the number of live keys in the served index.
+// Len returns the number of live keys across every shard. During a live
+// handover the moving range exists on both source and target, so the sum
+// can transiently over-count.
 func (c *Client) Len(ctx context.Context) (int, error) {
-	resp, err := c.do(ctx, &proto.Request{Op: proto.OpLen})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.Val), nil
+	n, err := c.each(ctx, proto.OpLen)
+	return int(n), err
 }

@@ -78,17 +78,17 @@ var waiterPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
 // larger one (a burst of big batches) is dropped after its write.
 const maxKeptBuf = 64 << 10
 
-// dialConn opens one connection for the client: dial, then the HELLO
+// dialConn opens one connection to the endpoint: dial, then the HELLO
 // exchange, synchronously, before the read loop starts.
-func (c *Client) dialConn() (*clientConn, error) {
-	o := &c.o
+func (e *endpoint) dialConn() (*clientConn, error) {
+	o := e.o
 	dial := o.dialer
 	if dial == nil {
 		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	nc, err := dial(c.addr, o.dialTimeout)
+	nc, err := dial(e.addr, o.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +200,7 @@ func (cc *clientConn) alone() bool {
 // dropStream deregisters a stream; late frames for it are dropped.
 func (cc *clientConn) dropStream(id uint64) {
 	cc.mu.Lock()
-	if cc.streams != nil {
-		delete(cc.streams, id)
-	}
+	delete(cc.streams, id) // a no-op on a nil map: no stream yet, or after fail
 	cc.mu.Unlock()
 }
 
@@ -368,13 +366,13 @@ func (cc *clientConn) abandon(id uint64) bool {
 	return registered
 }
 
-// do sends req and waits for its response, honoring ctx for the queueing,
-// the write, and the wait.
-func (cc *clientConn) do(ctx context.Context, req *proto.Request) (proto.Response, error) {
+// do sends req and waits for its response, stored into *resp, honoring ctx
+// for the queueing, the write, and the wait.
+func (cc *clientConn) do(ctx context.Context, req *proto.Request, resp *proto.Response) error {
 	select {
 	case cc.inflight <- struct{}{}:
 	case <-ctx.Done():
-		return proto.Response{}, ctx.Err()
+		return ctx.Err()
 	}
 	//dytis:blocking-ok releasing the slot acquired above from a buffered channel never blocks
 	defer func() { <-cc.inflight }()
@@ -385,14 +383,7 @@ func (cc *clientConn) do(ctx context.Context, req *proto.Request) (proto.Respons
 	// up (it answers StatusDeadlineExceeded, which nobody is waiting for).
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
-			ms := int64(rem / time.Millisecond)
-			if ms < 1 {
-				ms = 1
-			}
-			if ms > int64(^uint32(0)) {
-				ms = int64(^uint32(0))
-			}
-			req.TimeoutMS = uint32(ms)
+			req.TimeoutMS = uint32(min(max(int64(rem/time.Millisecond), 1), int64(^uint32(0))))
 		}
 	}
 	ch := waiterPool.Get().(chan reply)
@@ -401,7 +392,7 @@ func (cc *clientConn) do(ctx context.Context, req *proto.Request) (proto.Respons
 		err := cc.err
 		cc.mu.Unlock()
 		waiterPool.Put(ch)
-		return proto.Response{}, err
+		return err
 	}
 	cc.waiters[req.ID] = ch
 	alone := len(cc.waiters)+len(cc.streams) == 1
@@ -411,27 +402,29 @@ func (cc *clientConn) do(ctx context.Context, req *proto.Request) (proto.Respons
 		if cc.abandon(req.ID) {
 			waiterPool.Put(ch)
 		}
-		return proto.Response{}, err
+		return err
 	}
 
 	select {
 	case r := <-ch:
 		waiterPool.Put(ch)
-		return r.resp, r.err
+		*resp = r.resp
+		return r.err
 	case <-ctx.Done():
 		// Deregister so the response, if it still comes, is dropped.
 		if cc.abandon(req.ID) {
 			waiterPool.Put(ch)
-			return proto.Response{}, ctx.Err()
+			return ctx.Err()
 		}
 		select {
 		case r := <-ch: // response or failure raced the deregistration
 			waiterPool.Put(ch)
-			return r.resp, r.err
+			*resp = r.resp
+			return r.err
 		default:
 			// The sender has claimed the waiter but not sent yet; the
 			// channel is its to write, so it is not recycled.
 		}
-		return proto.Response{}, ctx.Err()
+		return ctx.Err()
 	}
 }

@@ -6,17 +6,15 @@ import (
 	"testing"
 )
 
-// fakeStream is a scripted kvStream: it yields pairs in order, then ends
-// either cleanly or with failAfter pairs delivered and err set.
+// fakeStream is a scripted leg: it yields pairs in order, one per chunk,
+// then ends either cleanly or with failAfter pairs delivered and err set.
 type fakeStream struct {
 	keys, vals []uint64
 	failAfter  int // -1 = never fail
 	err        error
 
-	i        int
-	key, val uint64
-	serr     error
-	closed   int
+	i      int
+	closed int
 }
 
 func newFakeStream(pairs ...uint64) *fakeStream {
@@ -31,26 +29,18 @@ func newFakeStream(pairs ...uint64) *fakeStream {
 	return f
 }
 
-func (f *fakeStream) Next() bool {
-	if f.serr != nil {
-		return false
-	}
+func (f *fakeStream) chunk() (keys, vals []uint64, err error) {
 	if f.failAfter >= 0 && f.i >= f.failAfter {
-		f.serr = f.err
-		return false
+		return nil, nil, f.err
 	}
 	if f.i >= len(f.keys) {
-		return false
+		return nil, nil, nil
 	}
-	f.key, f.val = f.keys[f.i], f.vals[f.i]
 	f.i++
-	return true
+	return f.keys[f.i-1 : f.i], f.vals[f.i-1 : f.i], nil
 }
 
-func (f *fakeStream) Key() uint64   { return f.key }
-func (f *fakeStream) Value() uint64 { return f.val }
-func (f *fakeStream) Err() error    { return f.serr }
-func (f *fakeStream) Close() error  { f.closed++; return nil }
+func (f *fakeStream) close() { f.closed++ }
 
 // fakeOpener hands out scripted sources and records every open: which
 // source, in what order, with what budget. A source that honours its
@@ -63,25 +53,32 @@ type fakeOpener struct {
 	budgets []uint64
 }
 
-func (o *fakeOpener) open(i int, budget uint64) (kvStream, error) {
+func (o *fakeOpener) open(i int, budget uint64) leg {
 	o.opened = append(o.opened, i)
 	o.budgets = append(o.budgets, budget)
 	if err := o.openErr[i]; err != nil {
-		return nil, err
+		return &fakeStream{failAfter: 0, err: err} // a stream that cannot start fails its first pull
 	}
 	s := o.srcs[i]
 	if budget > 0 && uint64(len(s.keys)) > budget {
 		s.keys, s.vals = s.keys[:budget], s.vals[:budget]
 	}
-	return s, nil
+	return s
 }
 
-func (o *fakeOpener) chain(first int, max uint64) *MergeScanner {
-	return newMergeScanner(first, len(o.srcs), max, o.open)
+func (o *fakeOpener) chain(first int, max uint64) *Scanner {
+	return chainOf(first, len(o.srcs), max, o.open)
+}
+
+// chainOf is a Scanner over sources [first, end) that open through open
+// instead of the wire; max bounds the total pairs (0 = unbounded).
+func chainOf(first, end int, max uint64, open func(i int, budget uint64) leg) *Scanner {
+	return &Scanner{next: first, end: end, max: max,
+		open: func(_ *Scanner, i int, budget uint64) leg { return open(i, budget) }}
 }
 
 // drain pulls the chain dry, returning the delivered pairs.
-func drain(t *testing.T, m *MergeScanner) (keys, vals []uint64) {
+func drain(t *testing.T, m *Scanner) (keys, vals []uint64) {
 	t.Helper()
 	for m.Next() {
 		keys = append(keys, m.Key())
@@ -197,7 +194,7 @@ func TestMergeSourceOverrunsBudget(t *testing.T) {
 	// A source that ignores its budget (a lying server) is cut off at the
 	// chain's own count and released by Close.
 	over := newFakeStream(1, 10, 2, 20, 3, 30)
-	m := newMergeScanner(0, 1, 2, func(int, uint64) (kvStream, error) { return over, nil })
+	m := chainOf(0, 1, 2, func(int, uint64) leg { return over })
 	keys, vals := drain(t, m)
 	wantPairs(t, keys, vals, []uint64{1, 2}, []uint64{10, 20})
 	if err := m.Err(); err != nil {
@@ -241,9 +238,9 @@ func TestMergeAllSourcesEmpty(t *testing.T) {
 }
 
 func TestMergeNoSources(t *testing.T) {
-	m := newMergeScanner(0, 0, 0, func(int, uint64) (kvStream, error) {
+	m := chainOf(0, 0, 0, func(int, uint64) leg {
 		t.Fatal("open called with no sources")
-		return nil, nil
+		return nil
 	})
 	if m.Next() {
 		t.Fatal("Next() = true with no sources")
@@ -336,18 +333,4 @@ func TestMergeCloseClosesOpenSource(t *testing.T) {
 		t.Fatal("Next() = true after Close")
 	}
 	wantInts(t, "opened after Close", o.opened, []int{0})
-}
-
-func TestFailedMergeScanner(t *testing.T) {
-	boom := errors.New("setup failed")
-	m := failedMergeScanner(boom)
-	if m.Next() {
-		t.Fatal("Next() = true on failed chain")
-	}
-	if err := m.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() = %v, want %v", err, boom)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("Close() = %v", err)
-	}
 }

@@ -2,7 +2,7 @@ package client
 
 // Unit tests for the router's typed failure surface: RoutingError /
 // ErrRouting, ScanInterruptedError / ErrScanInterrupted, and the
-// per-endpoint health streaks behind Cluster.Health.
+// per-endpoint health streaks behind Client.Health.
 
 import (
 	"context"
@@ -11,6 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"dytis/internal/cluster"
 )
 
 func TestRoutingErrorTyped(t *testing.T) {
@@ -56,10 +59,7 @@ func TestScanInterruptedErrorTyped(t *testing.T) {
 }
 
 func TestEndpointHealthStreaks(t *testing.T) {
-	cl := &Cluster{
-		clients: make(map[string]*Client),
-		health:  make(map[string]*EndpointHealth),
-	}
+	cl := &Cluster{health: make(map[string]*EndpointHealth)}
 	boom := errors.New("dial tcp: connection refused")
 
 	// Transport failures accumulate; a success resets the streak.
@@ -97,16 +97,6 @@ func TestEndpointHealthStreaks(t *testing.T) {
 	if h = healthByAddr(cl.Health()); h["a"].Fails != 1 {
 		t.Fatalf("a after caller cancel: %+v", h["a"])
 	}
-
-	// healthyFirst keeps relative order within each class.
-	cl.noteResult("c", net.ErrClosed)
-	got := cl.healthyFirst([]string{"a", "b", "c", "d"})
-	want := []string{"b", "d", "a", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("healthyFirst = %v, want %v", got, want)
-		}
-	}
 }
 
 // TestEndpointSickCountExact checks the count behind noteResult's lock-free
@@ -114,10 +104,7 @@ func TestEndpointHealthStreaks(t *testing.T) {
 // by a success is seen (Health reports Fails == 0) and the count returns
 // to 0 — serially and with every endpoint's results racing.
 func TestEndpointSickCountExact(t *testing.T) {
-	cl := &Cluster{
-		clients: make(map[string]*Client),
-		health:  make(map[string]*EndpointHealth),
-	}
+	cl := &Cluster{health: make(map[string]*EndpointHealth)}
 	boom := errors.New("dial tcp: connection refused")
 	wantSick := func(n int32) {
 		t.Helper()
@@ -174,4 +161,32 @@ func healthByAddr(hs []EndpointHealth) map[string]EndpointHealth {
 		m[h.Addr] = h
 	}
 	return m
+}
+
+// TestUnreachableEndpointFailsAtOnce: an endpoint dials when first used,
+// and until one of its connections has succeeded, a failed dial fails the
+// operation at once, as Dial does, rather than riding out the reconnect
+// backoff.
+func TestUnreachableEndpointFailsAtOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	c := newClient([]Option{WithReconnect(4, 500*time.Millisecond, time.Second)})
+	defer c.Close()
+	m := &cluster.Map{Epoch: 1, Shards: []cluster.Shard{{Lo: 0, Hi: ^uint64(0), Addr: dead}}}
+	if err := c.adopt(m.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, _, err := c.Get(context.Background(), 1); err == nil {
+			t.Fatal("Get on an unreachable endpoint succeeded")
+		}
+		if d := time.Since(start); d > 250*time.Millisecond {
+			t.Fatalf("op %d on an unreachable endpoint took %v; the first backoff is 500ms", i, d)
+		}
+	}
 }

@@ -55,22 +55,6 @@ type clusterCell struct {
 	ScanMs     int64   `json:"scan_wall_ms"`
 }
 
-// kvBench is the slice of the client surface the experiment drives; both
-// client.Client (single) and client.Cluster (routed) satisfy it.
-type kvBench interface {
-	InsertBatch(ctx context.Context, keys, vals []uint64) error
-	Get(ctx context.Context, key uint64) (uint64, bool, error)
-	Len(ctx context.Context) (int, error)
-}
-
-// kvScanner is the iterator both scan paths return.
-type kvScanner interface {
-	Next() bool
-	Key() uint64
-	Err() error
-	Close() error
-}
-
 func clusterExp() {
 	n := *clusterKeys
 	fmt.Printf("Sharded serving: %d keys, %d client goroutines, GOMAXPROCS %d\n",
@@ -195,9 +179,7 @@ func runClusterCell(config string, shards int, addrs []string) (clusterCell, err
 	ctx := context.Background()
 	teardown := func() {}
 
-	var api kvBench
-	var scan func() kvScanner
-	var closeClient func() error
+	var api *client.Client
 	if shards == 1 && addrs == nil {
 		idx := core.New(core.Options{Concurrent: true})
 		srv := server.New(server.Config{Index: idx, MaxConns: *clusterClients * 4})
@@ -218,8 +200,6 @@ func runClusterCell(config string, shards int, addrs []string) (clusterCell, err
 			return clusterCell{}, err
 		}
 		api = c
-		scan = func() kvScanner { return c.ScanStream(ctx, 0, 0) }
-		closeClient = c.Close
 	} else {
 		if addrs == nil {
 			var err error
@@ -234,11 +214,9 @@ func runClusterCell(config string, shards int, addrs []string) (clusterCell, err
 			return clusterCell{}, err
 		}
 		api = cl
-		scan = func() kvScanner { return cl.ScanStream(ctx, 0, 0) }
-		closeClient = cl.Close
 	}
 	defer teardown()
-	defer closeClient()
+	defer api.Close()
 
 	cell := clusterCell{Config: config, Shards: shards, Clients: *clusterClients, Keys: *clusterKeys}
 
@@ -316,7 +294,7 @@ func runClusterCell(config string, shards int, addrs []string) (clusterCell, err
 
 	// Full ordered scan: one server's stream vs the chain of shard streams.
 	t0 = time.Now()
-	s := scan()
+	s := api.ScanStream(ctx, 0, 0)
 	count, last, ordered := 0, uint64(0), true
 	for s.Next() {
 		if count > 0 && s.Key() <= last {

@@ -8,7 +8,7 @@
 // partition of the key space by most-significant bits) one level up: each
 // dytis-server process owns one contiguous MSB range and its index's KDD
 // adaptation specializes to that range's distribution. Routing is
-// client-side (client.Cluster); the only cross-node coordination is the
+// client-side (client.DialCluster); the only cross-node coordination is the
 // shard map epoch, which only ever moves forward.
 package cluster
 

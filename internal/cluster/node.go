@@ -1197,24 +1197,38 @@ func (n *Node) ImportStart(lo, hi uint64) error {
 // restarted and lost it) opens a new one and answers fresh=true, telling
 // the source to recopy from the start. A session for a different range is
 // an error.
+//
+// A fresh session opens over a clean range: [lo, hi] is scrubbed from the
+// local index first, and a failed scrub fails the open. Keys left there —
+// by a de-own scrub cut short, or kept across a restart mid-import — are
+// unowned and stale, and under ImportBatch's insert-if-absent they would
+// win over the copied values.
 func (n *Node) ImportResume(lo, hi uint64) (fresh bool, applied uint64, err error) {
 	if lo > hi {
 		return false, 0, fmt.Errorf("cluster: import range inverted [%#x, %#x]", lo, hi)
 	}
+	// hmu is held throughout: every writer of the session and of the owned
+	// range holds it, so the checks below still hold after the scrub.
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if imp := n.imp; imp != nil {
+	n.mu.RLock()
+	imp, owned := n.imp, n.lo <= n.hi && lo <= n.hi && hi >= n.lo
+	n.mu.RUnlock()
+	if imp != nil {
 		if imp.lo == lo && imp.hi == hi {
 			return false, imp.applied, nil
 		}
 		return false, 0, fmt.Errorf("cluster: import of [%#x, %#x] already in progress", imp.lo, imp.hi)
 	}
-	if n.lo <= n.hi && lo <= n.hi && hi >= n.lo {
+	if owned {
 		return false, 0, fmt.Errorf("cluster: import range [%#x, %#x] overlaps owned [%#x, %#x]", lo, hi, n.lo, n.hi)
 	}
+	if err := n.scrub(lo, hi); err != nil {
+		return false, 0, fmt.Errorf("cluster: clearing import range [%#x, %#x]: %w", lo, hi, err)
+	}
+	n.mu.Lock()
 	n.imp = &importSession{lo: lo, hi: hi, tombs: make(map[uint64]struct{})}
+	n.mu.Unlock()
 	return true, 0, nil
 }
 
@@ -1301,6 +1315,6 @@ func (n *Node) MirrorApply(del bool, key, val uint64) error {
 }
 
 // Len is the local index size. During a handover it double-counts the
-// moving range (present on source and target); Cluster.Len documents the
+// moving range (present on source and target); client.Client.Len documents the
 // approximation.
 func (n *Node) Len() int { return n.idx.Len() }

@@ -323,3 +323,137 @@ func TestNodeWALPoisonedStore(t *testing.T) {
 		}
 	})
 }
+
+// cutOver installs the epoch-2 map that moves [mid, 2^64) from src to dst,
+// source first.
+func cutOver(t *testing.T, src, dst *Node, mid uint64) {
+	t.Helper()
+	m2 := &Map{Epoch: 2, Shards: []Shard{{0, mid - 1, "src"}, {mid, ^uint64(0), "dst"}}}
+	if err := src.SetMap(0, mid-1, m2.Encode()); err != nil {
+		t.Fatalf("source cutover: %v", err)
+	}
+	if err := dst.SetMap(mid, ^uint64(0), m2.Encode()); err != nil {
+		t.Fatalf("target cutover: %v", err)
+	}
+}
+
+// wantRange requires st to hold exactly want in [mid, 2^64).
+func wantRange(t *testing.T, st *wal.Store, mid uint64, want map[uint64]uint64) {
+	t.Helper()
+	got := st.Scan(mid, len(want)+1, nil)
+	if len(got) != len(want) {
+		t.Fatalf("target holds %d keys in the moved range, want %d", len(got), len(want))
+	}
+	for _, p := range got {
+		if v, ok := want[p.Key]; !ok || v != p.Value {
+			t.Fatalf("target key %#x = %d, want %d (present in the source: %v)", p.Key, p.Value, v, ok)
+		}
+	}
+}
+
+// TestNodeWALImportOverStaleKeys: a node whose de-own scrub was cut short
+// (it crashed mid-scrub and restarted owning nothing) still holds keys of
+// the range it gave away. When that range is handed back, the copied
+// values win and a key the owner deleted meanwhile stays deleted.
+func TestNodeWALImportOverStaleKeys(t *testing.T) {
+	const mid = uint64(1) << 63
+	keys, vals := movingKeys(mid, 100)
+	back := newWALSide(t, 1, 0, nil)
+	stale := make([]uint64, len(vals))
+	for i, v := range vals {
+		stale[i] = v + 1000
+	}
+	if err := back.st.InsertBatch(keys, stale); err != nil {
+		t.Fatal(err)
+	}
+	peer := newLoopPeer(back.node)
+	owner := newWALSide(t, 0, ^uint64(0), func(string) (Peer, error) { return peer, nil })
+	if err := owner.st.InsertBatch(keys[1:], vals[1:]); err != nil { // keys[0] was deleted since
+		t.Fatal(err)
+	}
+	m1, _ := Uniform(1, []string{"src"})
+	if err := owner.node.SetMap(0, ^uint64(0), m1.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.node.StartHandover(mid, ^uint64(0), "dst"); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, owner.node, HandoverCopied)
+	cutOver(t, owner.node, back.node, mid)
+
+	want := map[uint64]uint64{}
+	for i := 1; i < len(keys); i++ {
+		want[keys[i]] = vals[i]
+	}
+	wantRange(t, back.st, mid, want)
+}
+
+// TestNodeWALImportAfterTargetRestart: a WAL-backed target restarts
+// mid-handover and keeps the pages it applied. The source's resume finds
+// the import session gone, drops its journal of suspended-window writes
+// and recopies; the write and the delete acked in that window must still
+// hold on the target after the cutover.
+func TestNodeWALImportAfterTargetRestart(t *testing.T) {
+	const mid = uint64(1) << 63
+	keys, vals := movingKeys(mid, 100)
+	dst := newWALSide(t, 1, 0, nil)
+	peer := newLoopPeer(dst.node)
+	src := newWALSide(t, 0, ^uint64(0), func(string) (Peer, error) { return peer, nil })
+	if err := src.st.InsertBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	m1, _ := Uniform(1, []string{"src"})
+	if err := src.node.SetMap(0, ^uint64(0), m1.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.node.StartHandover(mid, ^uint64(0), "dst"); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, src.node, HandoverCopied)
+
+	// The target goes away: the first write's mirror fails past its
+	// retries, the handover suspends, and both writes are acked and
+	// journaled.
+	peer.setFailMirrors(1 << 30)
+	if err := src.node.Insert(keys[1], 4242); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.node.Delete(keys[2]); err != nil {
+		t.Fatal(err)
+	}
+	if st := src.node.HandoverStatus().State; st != HandoverFailed {
+		t.Fatalf("handover %s after the failed mirror, want failed", handoverStateName(st))
+	}
+
+	// It restarts from its log, with the copied pages and no session.
+	dst.node.Close()
+	if err := dst.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := wal.Open(dst.dir, walOpts(&wal.Metrics{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	if got := st2.Len(); got != len(keys) {
+		t.Fatalf("restarted target recovered %d keys, want the %d copied", got, len(keys))
+	}
+	dst2 := mustNode(t, st2.Serving(), 1, 0, nil)
+	t.Cleanup(func() { dst2.Close() })
+	peer.setNode(dst2)
+	peer.setFailMirrors(0)
+
+	if err := src.node.HandoverResume(); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, src.node, HandoverCopied)
+	cutOver(t, src.node, dst2, mid)
+
+	want := map[uint64]uint64{}
+	for i, k := range keys {
+		want[k] = vals[i]
+	}
+	want[keys[1]] = 4242
+	delete(want, keys[2])
+	wantRange(t, st2, mid, want)
+}

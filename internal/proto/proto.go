@@ -93,7 +93,7 @@
 // # Cluster opcodes (FeatCluster)
 //
 // FeatCluster enables the sharded-serving opcode family (internal/cluster,
-// client.Cluster). A cluster-routed request may OR FlagEpoch (0x40) into
+// client.DialCluster). A cluster-routed request may OR FlagEpoch (0x40) into
 // its opcode byte, announcing a uint64 shard-map epoch after the optional
 // deadline field; a server owning a different epoch (or not owning a
 // request's key) answers StatusWrongShard, whose v2 payload carries the

@@ -171,7 +171,7 @@ func requireClusterOracle(t *testing.T, cl *client.Cluster, oracle map[uint64]ui
 	}
 	sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i] < wantKeys[j] })
 
-	keys, vals, err := cl.Scan(ctx, 0, 0)
+	keys, vals, err := scanAll(ctx, cl, 0, 0)
 	if err != nil {
 		t.Fatalf("cluster scan: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestClusterScatterGatherOracle(t *testing.T) {
 	}
 	sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i] < wantKeys[j] })
 	start := wantKeys[len(wantKeys)/3] + 1
-	keys, vals2, err := cl.Scan(ctx, start, 100)
+	keys, vals2, err := scanAll(ctx, cl, start, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestClusterShardDownFailClosed(t *testing.T) {
 	}
 
 	// A full scan must fail closed: error, never a silently truncated result.
-	if _, _, err := cl.Scan(opCtx, 0, 0); err == nil {
+	if _, _, err := scanAll(opCtx, cl, 0, 0); err == nil {
 		t.Fatal("cluster scan with a dead shard returned success")
 	}
 

@@ -1,7 +1,7 @@
 package server_test
 
 // The routed scan as a chain: shards tile the key space in map order, so
-// Cluster.ScanStream walks them in order with one epoch-pinned stream open
+// Client.ScanStream walks them in order with one epoch-pinned stream open
 // at a time, each bounded by the budget still owed. These tests pin what
 // that buys (exact per-shard stream and chunk counts), what it must keep
 // (a dead shard still fails the scan, typed, when the chain reaches it
@@ -90,7 +90,7 @@ func insertKeys(t *testing.T, cl *client.Cluster, keys []uint64) {
 
 // pullAll drains s, failing the test on a stream error or a value that is
 // not ^key.
-func pullAll(t *testing.T, s *client.MergeScanner) []uint64 {
+func pullAll(t *testing.T, s *client.Scanner) []uint64 {
 	t.Helper()
 	var keys []uint64
 	for s.Next() {
@@ -339,7 +339,7 @@ func TestClusterChainedScanOracle(t *testing.T) {
 				t.Fatalf("seed %d start %#x max %d: Total() = %d, delivered %d", seed, start, max, s.Total(), len(got))
 			}
 			wantKeys(t, "ScanStream", got, want)
-			gk, gv, err := cl.Scan(ctx, start, max)
+			gk, gv, err := scanAll(ctx, cl, start, max)
 			if err != nil {
 				t.Fatalf("seed %d start %#x max %d: Scan: %v", seed, start, max, err)
 			}
@@ -351,4 +351,44 @@ func TestClusterChainedScanOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClusterScanAdoptsCutoverMap: a scan pinned to an epoch that a
+// cutover has since passed fails typed, and its client adopts the map the
+// shard's end frame carried, so the re-issued scan routes by the new
+// layout and returns every key.
+func TestClusterScanAdoptsCutoverMap(t *testing.T) {
+	procs := startCluster(t, 2)
+	fresh := startShard(t, 1, 0) // owns nothing, awaiting the handover
+	ctx := context.Background()
+	cl, err := client.DialCluster([]string{procs[0].addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	stale, err := client.DialCluster([]string{procs[0].addr}) // routes by epoch 1 until told otherwise
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+
+	keys := make([]uint64, 2000)
+	for i := range keys {
+		keys[i] = spread(uint64(i))
+	}
+	insertKeys(t, cl, keys)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	mid := cl.Map().Shards[1]
+	if err := cl.Rebalance(ctx, mid.Lo, mid.Hi, fresh.addr); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+
+	_, _, err = drainScan(stale.ScanStream(ctx, 0, 0))
+	if !errors.Is(err, client.ErrScanInterrupted) || !errors.Is(err, client.ErrWrongShard) {
+		t.Fatalf("scan at the passed epoch: Err = %v, want ErrScanInterrupted wrapping ErrWrongShard", err)
+	}
+	if got := stale.Epoch(); got != 2 {
+		t.Fatalf("client at epoch %d after the scan's redirect, want 2", got)
+	}
+	wantKeys(t, "re-issued scan", pullAll(t, stale.ScanStream(ctx, 0, 0)), keys)
 }

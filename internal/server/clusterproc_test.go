@@ -215,7 +215,7 @@ func TestClusterProcKillShard(t *testing.T) {
 		t.Fatal("Get on killed shard succeeded")
 	}
 	// Scans must fail closed, not return a truncated two-shard result.
-	if _, _, err := cl.Scan(opCtx, 0, 0); err == nil {
+	if _, _, err := scanAll(opCtx, cl, 0, 0); err == nil {
 		t.Fatal("cluster scan with a killed shard returned success")
 	}
 	// Every acked write on a surviving shard is still there, exact.
@@ -299,7 +299,7 @@ func TestClusterProcKillOldOwnerMidHandover(t *testing.T) {
 	if _, _, err := cl.Get(opCtx, mid.Lo+5); err == nil {
 		t.Fatal("Get on killed source succeeded")
 	}
-	if _, _, err := cl.Scan(opCtx, 0, 0); err == nil {
+	if _, _, err := scanAll(opCtx, cl, 0, 0); err == nil {
 		t.Fatal("scan with killed source returned success")
 	}
 	for i := uint64(0); i < 30_000; i += 131 {

@@ -63,6 +63,22 @@ func drainScan(s *client.Scanner) (keys, vals []uint64, err error) {
 	return keys, vals, s.Err()
 }
 
+// scanAll drains a routed scan of up to max pairs from start. A cutover
+// that interrupts it (ErrWrongShard) has the scan re-issued whole, by the
+// map the redirect carried; any other failure is returned as it is.
+func scanAll(ctx context.Context, cl *client.Client, start uint64, max int) (keys, vals []uint64, err error) {
+	for attempt := 0; attempt < 8; attempt++ {
+		if attempt > 0 {
+			time.Sleep(time.Duration(attempt) * 5 * time.Millisecond)
+		}
+		keys, vals, err = drainScan(cl.ScanStream(ctx, start, max))
+		if !errors.Is(err, client.ErrWrongShard) {
+			return keys, vals, err
+		}
+	}
+	return nil, nil, err
+}
+
 func requireSound(t *testing.T, d *core.DyTIS) {
 	t.Helper()
 	if vs := check.Check(d); len(vs) != 0 {
