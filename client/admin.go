@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 
+	"dytis/internal/cluster"
 	"dytis/internal/proto"
 )
 
@@ -22,27 +23,6 @@ type ShardInfo struct {
 	Epoch uint64
 	// State is the server's handover state (cluster.Handover* constants).
 	State uint8
-}
-
-// HandoverProgress is a handover's progress as reported by the source.
-type HandoverProgress struct {
-	// State is a cluster.Handover* constant.
-	State uint8
-	// Copied counts pairs bulk-copied to the target so far.
-	Copied uint64
-	// Mirrored counts writes double-written to the target so far.
-	Mirrored uint64
-	// Retries counts peer calls (bulk pages and mirrors) that were retried.
-	Retries uint64
-	// Resumes counts how many times a suspended handover was resumed.
-	Resumes uint64
-	// Watermark is the next bulk-copy key: everything in [Lo, Watermark)
-	// has already landed on the target, so a resume restarts there.
-	Watermark uint64
-	// Lo, Hi is the moving range; Target is the receiving server's address.
-	// All three are zero-valued when the server has no handover.
-	Lo, Hi uint64
-	Target string
 }
 
 // ShardInfo asks the server for its owned range, epoch, and handover state.
@@ -81,13 +61,14 @@ func (e *endpoint) HandoverStart(ctx context.Context, lo, hi uint64, addr string
 	return e.do(ctx, &proto.Request{Op: proto.OpHandoverStart, Lo: lo, Hi: hi, Addr: addr}, new(proto.Response))
 }
 
-// HandoverStatus polls the server's current (or last) handover.
-func (e *endpoint) HandoverStatus(ctx context.Context) (HandoverProgress, error) {
+// HandoverStatus polls the server's current (or last) handover. Cause is
+// node-local and always nil here: the wire status does not carry it.
+func (e *endpoint) HandoverStatus(ctx context.Context) (cluster.HandoverInfo, error) {
 	var resp proto.Response
 	if err := e.do(ctx, &proto.Request{Op: proto.OpHandoverStatus}, &resp); err != nil {
-		return HandoverProgress{}, err
+		return cluster.HandoverInfo{}, err
 	}
-	return HandoverProgress{
+	return cluster.HandoverInfo{
 		State: resp.State, Copied: resp.Copied, Mirrored: resp.Mirrored,
 		Retries: resp.Retries, Resumes: resp.Resumes, Watermark: resp.Watermark,
 		Lo: resp.Lo, Hi: resp.Hi, Target: resp.Addr,
@@ -109,12 +90,6 @@ func (e *endpoint) HandoverAbort(ctx context.Context) error {
 	return e.do(ctx, &proto.Request{Op: proto.OpHandoverAbort}, new(proto.Response))
 }
 
-// ImportStart opens an import session for [lo, hi] on the server — the
-// target half of a handover. Server-to-server use.
-func (e *endpoint) ImportStart(ctx context.Context, lo, hi uint64) error {
-	return e.do(ctx, &proto.Request{Op: proto.OpImportStart, Lo: lo, Hi: hi}, new(proto.Response))
-}
-
 // ImportBatch streams one bulk-copy page into the open import session,
 // returning how many pairs the server actually applied (pairs already
 // superseded by mirrored writes are skipped). Server-to-server use.
@@ -132,11 +107,12 @@ func (e *endpoint) ImportEnd(ctx context.Context, commit bool) error {
 	return e.do(ctx, &proto.Request{Op: proto.OpImportEnd, Commit: commit}, new(proto.Response))
 }
 
-// ImportResume re-attaches to an import session for [lo, hi] on the server
-// after the source's handover was suspended. If the session survived, fresh
-// is false and applied reports how many pairs it already holds; if the
-// server restarted (session lost), a new empty session is opened and fresh
-// is true, telling the source to recopy from scratch. Server-to-server use.
+// ImportResume opens, or re-attaches to, an import session for [lo, hi] on
+// the server: a handover's start opens one through it, and its resume and
+// cutover probe re-attach. If a session survived, fresh is false and
+// applied reports how many pairs it already holds; otherwise (none yet, or
+// the server restarted) a new empty session is opened and fresh is true,
+// telling a resuming source to recopy from scratch. Server-to-server use.
 func (e *endpoint) ImportResume(ctx context.Context, lo, hi uint64) (fresh bool, applied uint64, err error) {
 	var resp proto.Response
 	if err := e.do(ctx, &proto.Request{Op: proto.OpImportResume, Lo: lo, Hi: hi}, &resp); err != nil {

@@ -200,7 +200,7 @@ func (c *Client) ResumeRebalance(ctx context.Context, src string) error {
 		return fmt.Errorf("client: reading handover state on %s: %w", src, err)
 	}
 	if p.Target == "" || p.State == cluster.HandoverNone || p.State == cluster.HandoverDone {
-		return fmt.Errorf("client: no resumable handover on %s (state %d)", src, p.State)
+		return fmt.Errorf("client: no resumable handover on %s (state %s)", src, cluster.HandoverStateName(p.State))
 	}
 	next, err := m.Reassign(p.Lo, p.Hi, p.Target)
 	if err != nil {
@@ -275,7 +275,7 @@ cutover:
 					continue
 				}
 			default:
-				return fmt.Errorf("client: handover on %s entered state %d before cutover", srcAddr, p.State)
+				return fmt.Errorf("client: handover on %s entered state %s before cutover", srcAddr, cluster.HandoverStateName(p.State))
 			}
 		}
 

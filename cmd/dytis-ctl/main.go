@@ -210,7 +210,7 @@ func cmdStatus(args []string) error {
 		if err == nil {
 			n, err = c.Len(ctx)
 		}
-		var ho client.HandoverProgress
+		var ho cluster.HandoverInfo
 		if err == nil && info.State != cluster.HandoverNone {
 			// Best-effort detail: a node that just reported its state can
 			// still race a concurrent abort clearing the handover.
@@ -226,29 +226,13 @@ func cmdStatus(args []string) error {
 			owned = "(nothing)"
 		}
 		fmt.Printf("%-20s epoch %-4d %-42s keys %-10d handover %s\n",
-			addr, info.Epoch, owned, n, handoverName(info.State))
+			addr, info.Epoch, owned, n, cluster.HandoverStateName(info.State))
 		if ho.Target != "" {
 			fmt.Printf("%-20s   moving [%#016x, %#016x] to %s: copied %d, mirrored %d, retries %d, resumes %d, watermark %#x\n",
 				"", ho.Lo, ho.Hi, ho.Target, ho.Copied, ho.Mirrored, ho.Retries, ho.Resumes, ho.Watermark)
 		}
 	}
 	return nil
-}
-
-func handoverName(s uint8) string {
-	switch s {
-	case cluster.HandoverNone:
-		return "none"
-	case cluster.HandoverCopying:
-		return "copying"
-	case cluster.HandoverCopied:
-		return "copied"
-	case cluster.HandoverFailed:
-		return "failed"
-	case cluster.HandoverDone:
-		return "done"
-	}
-	return fmt.Sprintf("state(%d)", s)
 }
 
 func cmdRebalance(args []string) error {

@@ -307,12 +307,6 @@ func (p clientPeer) ctx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), peerOpTimeout)
 }
 
-func (p clientPeer) ImportStart(lo, hi uint64) error {
-	ctx, cancel := p.ctx()
-	defer cancel()
-	return p.c.ImportStart(ctx, lo, hi)
-}
-
 func (p clientPeer) ImportBatch(keys, vals []uint64) (uint64, error) {
 	ctx, cancel := p.ctx()
 	defer cancel()

@@ -3,10 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"dytis/internal/kv"
 )
@@ -119,10 +117,8 @@ func await(submit func(done Done)) (found bool, founds []bool, err error) {
 // substitute fakes. Implementations must be safe for concurrent use — the
 // bulk-copy goroutine and mirroring writers overlap.
 type Peer interface {
-	ImportStart(lo, hi uint64) error
-	// ImportResume reattaches to an existing import session for exactly
-	// [lo, hi] (fresh=false, applied echoes its progress) or, when the
-	// target lost it (restart), opens a new one (fresh=true).
+	// ImportResume reattaches to the import session for exactly [lo, hi]
+	// (fresh=false, applied echoes its progress) or opens one (fresh=true).
 	ImportResume(lo, hi uint64) (fresh bool, applied uint64, err error)
 	ImportBatch(keys, vals []uint64) (applied uint64, err error)
 	ImportEnd(commit bool) error
@@ -137,76 +133,6 @@ type PeerDialer func(addr string) (Peer, error)
 // own; the server answers it as StatusWrongShard with the current map
 // attached. Match with errors.Is.
 var ErrWrongShard = errors.New("cluster: wrong shard")
-
-// ErrHandoverSuspended marks an operation refused because the node's
-// handover sits in HandoverFailed: it must be resumed (HandoverResume) or
-// abandoned (HandoverAbort) before a new one can start. Match with
-// errors.Is.
-var ErrHandoverSuspended = errors.New("cluster: handover suspended")
-
-// Handover states, as carried in HandoverStatus/ShardInfo responses.
-const (
-	HandoverNone    uint8 = iota // no handover has run
-	HandoverCopying              // bulk copy in progress, mirroring on
-	HandoverCopied               // bulk copy complete, mirroring on, safe to cut over
-	HandoverFailed               // copy or mirror exhausted retries; suspended, resumable
-	HandoverDone                 // cutover complete, range de-owned
-)
-
-func handoverStateName(s uint8) string {
-	switch s {
-	case HandoverNone:
-		return "none"
-	case HandoverCopying:
-		return "copying"
-	case HandoverCopied:
-		return "copied"
-	case HandoverFailed:
-		return "failed"
-	case HandoverDone:
-		return "done"
-	}
-	return fmt.Sprintf("state(%d)", s)
-}
-
-// copyPage is the bulk-copy and scrub page size: big enough to amortize
-// framing, small enough that one page never approaches frame limits.
-const copyPage = 4096
-
-// RetryPolicy bounds how hard a handover fights transient peer failures
-// before suspending: each peer call (mirror, bulk page) is attempted up
-// to Attempts times with jittered exponential backoff between tries.
-type RetryPolicy struct {
-	Attempts   int           // total tries per peer call; <=0 means the default (4)
-	BackoffMin time.Duration // first backoff; <=0 means the default (2ms)
-	BackoffMax time.Duration // backoff cap; <=0 means the default (250ms)
-}
-
-func (r RetryPolicy) normalized() RetryPolicy {
-	if r.Attempts <= 0 {
-		r.Attempts = 4
-	}
-	if r.BackoffMin <= 0 {
-		r.BackoffMin = 2 * time.Millisecond
-	}
-	if r.BackoffMax <= 0 {
-		r.BackoffMax = 250 * time.Millisecond
-	}
-	if r.BackoffMax < r.BackoffMin {
-		r.BackoffMax = r.BackoffMin
-	}
-	return r
-}
-
-// HandoverEvents are optional hooks fired on handover robustness events;
-// the server wires them to its metrics. Nil fields are skipped. Hooks may
-// be called under node locks and must not block or call back into the
-// Node.
-type HandoverEvents struct {
-	MirrorRetry func() // one mirror send is being retried
-	Failed      func() // handover entered HandoverFailed (suspended)
-	Resumed     func() // a suspended handover was resumed
-}
 
 // NodeConfig configures a Node.
 type NodeConfig struct {
@@ -230,13 +156,14 @@ type NodeConfig struct {
 // ownership enforcement, holds the node's view of the shard map, and runs
 // both sides of live shard handover.
 //
-// Locking: mu guards the routing state (range, epoch, map, handover and
-// import-session pointers). hmu serializes everything that must see a
-// frozen handover/import state end to end: moving-range writes (apply +
-// synchronous mirror), import-session operations, handover transitions,
-// and map installs. Lock order is hmu before mu; mu is never held across
-// a network call, hmu is (that synchronous mirror under hmu is exactly
-// what makes double-writes ordered and cutover lossless).
+// Locking: mu guards the routing state (range, epoch, map, handover state
+// and pointers). hmu serializes everything that must see a frozen
+// handover/import state end to end: moving-range writes (apply + synchronous
+// mirror), import-session operations, handover transitions (stepLocked, so
+// either lock reads hstate and ho), and map installs. Lock order is hmu
+// before mu; mu is never held across a network call, hmu is (that
+// synchronous mirror under hmu is what makes double-writes ordered and
+// cutover lossless).
 type Node struct {
 	idx    Index     // read only: every write goes through be
 	be     Committer // cfg.Index itself, or inline over its mutators
@@ -250,58 +177,12 @@ type Node struct {
 	scrubs sync.WaitGroup // background de-own scrubs spawned by SetMap
 
 	mu     sync.RWMutex
-	lo, hi uint64 // owned range; lo > hi = owns nothing
-	epoch  uint64 // current map epoch; 0 until a map is installed
-	blob   []byte // current encoded map; replaced wholesale, never mutated
-	ho     *handover
+	lo, hi uint64    // owned range; lo > hi = owns nothing
+	epoch  uint64    // current map epoch; 0 until a map is installed
+	blob   []byte    // current encoded map; replaced wholesale, never mutated
+	hstate uint8     // the handover's state; only stepLocked moves it
+	ho     *handover // the live or last handover; nil in HandoverNone
 	imp    *importSession
-}
-
-// handover is the source-side state machine of one range migration. It
-// survives suspension: a failed run keeps the struct (watermark, counters,
-// pending journal) so HandoverResume can continue instead of recopying.
-type handover struct {
-	lo, hi uint64
-	addr   string
-
-	// peer and stop are per-run: replaced together on resume. Both are
-	// guarded by the node's mu; a copy goroutine holds the pair it was
-	// started with and checks identity (ho.stop == stop) before recording
-	// progress, so a superseded run can never corrupt the live one.
-	peer Peer
-	stop chan struct{} // closed on suspend/abort to end the run
-
-	state     uint8 // guarded by the node's mu
-	failCause error // guarded by the node's mu; last suspension cause
-
-	copied    atomic.Uint64 // pairs accepted by the target's bulk import
-	mirrored  atomic.Uint64 // double-writes acked by the target
-	retries   atomic.Uint64 // peer-call retries (mirror + bulk) across runs
-	resumes   atomic.Uint64 // successful HandoverResume calls
-	watermark atomic.Uint64 // next bulk-copy key; resume restarts here
-	copyDone  atomic.Bool   // bulk copy finished (mirroring may continue)
-
-	// pending journals moving-range writes applied locally while the
-	// handover is suspended (plus the write whose mirror exhausted
-	// retries). Last-write-wins per key; replayed as mirrors — which
-	// overwrite and maintain tombstones — before a resume goes live.
-	// Guarded by the node's hmu.
-	pending map[uint64]mirrorOp
-}
-
-type mirrorOp struct {
-	del bool
-	val uint64
-}
-
-func (h *handover) covers(key uint64) bool { return key >= h.lo && key <= h.hi }
-
-// addPending journals one suspended-window write. Callers hold hmu.
-func (h *handover) addPending(del bool, key, val uint64) {
-	if h.pending == nil {
-		h.pending = make(map[uint64]mirrorOp)
-	}
-	h.pending[key] = mirrorOp{del: del, val: val}
 }
 
 // importSession is the target side of a handover: bulk pages apply
@@ -333,35 +214,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// retryPeer runs op up to the retry budget with jittered exponential
-// backoff, aborting early (with the last error) once stop closes. mirror
-// marks the retries that feed the mirror-retry event hook.
-func (n *Node) retryPeer(ho *handover, stop chan struct{}, mirror bool, op func() error) error {
-	backoff := n.retry.BackoffMin
-	var err error
-	for attempt := 0; attempt < n.retry.Attempts; attempt++ {
-		if attempt > 0 {
-			ho.retries.Add(1)
-			if mirror && n.events.MirrorRetry != nil {
-				n.events.MirrorRetry()
-			}
-			d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-			select {
-			case <-stop:
-				return err
-			case <-time.After(d):
-			}
-			if backoff *= 2; backoff > n.retry.BackoffMax {
-				backoff = n.retry.BackoffMax
-			}
-		}
-		if err = op(); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
 func (n *Node) logErr(format string, args ...any) {
 	if n.logf != nil {
 		n.logf(format, args...)
@@ -373,6 +225,17 @@ func (n *Node) ownsLocked(key uint64) bool { return key >= n.lo && key <= n.hi }
 
 func (n *Node) wrongShardLocked(key uint64) error {
 	return fmt.Errorf("%w: key %#x outside owned [%#x, %#x] at epoch %d", ErrWrongShard, key, n.lo, n.hi, n.epoch)
+}
+
+// ownsAllLocked returns the wrong-shard error of the first key not owned.
+// Callers hold mu.
+func (n *Node) ownsAllLocked(keys []uint64) error {
+	for _, k := range keys {
+		if !n.ownsLocked(k) {
+			return n.wrongShardLocked(k)
+		}
+	}
+	return nil
 }
 
 // --- data path --------------------------------------------------------------
@@ -414,12 +277,13 @@ func (n *Node) Delete(key uint64) (bool, error) {
 func (n *Node) applyOwned(apply func(), keys ...uint64) (mirror bool, err error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, k := range keys {
-		if !n.ownsLocked(k) {
-			return false, n.wrongShardLocked(k)
-		}
-		if ho := n.ho; ho != nil && ho.covers(k) && ho.state != HandoverDone {
-			mirror = true
+	if err := n.ownsAllLocked(keys); err != nil {
+		return false, err
+	}
+	if ho := n.ho; ho != nil {
+		// A write the handover acts on (mirror, journal) goes slow.
+		if _, acts, _ := step(n.hstate, evWrite); len(acts) > 0 {
+			mirror = slices.ContainsFunc(keys, ho.covers)
 		}
 	}
 	if !mirror {
@@ -442,20 +306,11 @@ func (n *Node) mirroredWrite(del bool, keys, vals []uint64, found []bool) ([]boo
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
 	n.mu.RLock()
-	for _, k := range keys {
-		if !n.ownsLocked(k) {
-			err := n.wrongShardLocked(k)
-			n.mu.RUnlock()
-			return found, err
-		}
-	}
-	ho, state := n.ho, hoState(n.ho)
-	var peer Peer
-	var stop chan struct{}
-	if ho != nil {
-		peer, stop = ho.peer, ho.stop
-	}
+	ho, err := n.ho, n.ownsAllLocked(keys)
 	n.mu.RUnlock()
+	if err != nil {
+		return found, err
+	}
 	_, founds, err := await(func(done Done) {
 		if del {
 			n.be.SubmitDeleteBatch(keys, found, done)
@@ -474,8 +329,9 @@ func (n *Node) mirroredWrite(del bool, keys, vals []uint64, found []bool) ([]boo
 		if !del {
 			val = vals[i]
 		}
-		if state == HandoverCopying || state == HandoverCopied {
-			err := n.retryPeer(ho, stop, true, func() error { return peer.Mirror(del, key, val) })
+		_, acts, _ := step(n.hstate, evWrite)
+		if slices.Contains(acts, acMirror) {
+			err := n.retryPeer(ho, ho.stop, true, func() error { return ho.peer.Mirror(del, key, val) })
 			if err == nil {
 				ho.mirrored.Add(1)
 				continue
@@ -486,11 +342,11 @@ func (n *Node) mirroredWrite(del bool, keys, vals []uint64, found []bool) ([]boo
 			// a Copied handover), and the journal carries this key and the
 			// rest of the batch into the eventual resume — either way none
 			// can be lost.
-			n.suspendHandoverLocked(ho, fmt.Errorf("mirror to %s: %w", ho.addr, err))
-			state = HandoverFailed
+			n.fire(ho, evExhausted, fmt.Errorf("mirror to %s: %w", ho.addr, err))
+			_, acts, _ = step(n.hstate, evWrite)
 		}
-		if state == HandoverFailed {
-			ho.addPending(del, key, val)
+		if slices.Contains(acts, acJournal) {
+			ho.pending[key] = mirrorOp{del: del, val: val}
 		}
 	}
 	return founds, nil
@@ -529,10 +385,8 @@ func (n *Node) Scan(epoch, start uint64, max int, dst []kv.KV) (_ []kv.KV, done 
 func (n *Node) GetBatch(keys []uint64, vals []uint64, found []bool) ([]uint64, []bool, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, k := range keys {
-		if !n.ownsLocked(k) {
-			return vals, found, n.wrongShardLocked(k)
-		}
+	if err := n.ownsAllLocked(keys); err != nil {
+		return vals, found, err
 	}
 	vals, found = n.idx.GetBatch(keys, vals, found)
 	return vals, found, nil
@@ -593,11 +447,7 @@ func (n *Node) SubmitDeleteBatch(keys []uint64, found []bool, done Done) {
 func (n *Node) Info() (lo, hi, epoch uint64, state uint8) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	state = HandoverNone
-	if n.ho != nil {
-		state = n.ho.state
-	}
-	return n.lo, n.hi, n.epoch, state
+	return n.lo, n.hi, n.epoch, n.hstate
 }
 
 // MapBlob returns the node's current encoded map (nil before any map is
@@ -612,10 +462,11 @@ func (n *Node) MapBlob() []byte {
 // SetMap installs an encoded shard map and adjusts the owned range to
 // [selfLo, selfHi] (selfLo > selfHi = owns nothing). The epoch must move
 // strictly forward (re-installing the identical blob is an idempotent
-// no-op). De-owning any key is only permitted when a handover in state
-// HandoverCopied covers the de-owned region — that is the cutover, which
-// this call finalizes: the import session commits on the target, the
-// peer closes, and the de-owned region is scrubbed from the local index.
+// no-op). De-owning any key is only permitted when the handover's state
+// takes the cutover probe (step: HandoverCopied) and its range covers the
+// de-owned region — that is the cutover, which this call finalizes: the
+// import session commits on the target, the peer closes, and the de-owned
+// region is scrubbed from the local index.
 func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 	m, err := DecodeMap(blob)
 	if err != nil {
@@ -652,15 +503,16 @@ func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 		return fmt.Errorf("cluster: conflicting map at same epoch %d", m.Epoch)
 	}
 	deowned := subtractRange(n.lo, n.hi, selfLo, selfHi)
-	var finalize *handover
+	ho := n.ho
+	var acts []action
 	if len(deowned) > 0 {
-		ho := n.ho
-		for _, r := range deowned {
-			if ho == nil || ho.state != HandoverCopied || r.lo < ho.lo || r.hi > ho.hi {
-				n.mu.Unlock()
-				return fmt.Errorf("cluster: map de-owns [%#x, %#x] with no completed handover covering it (state %s)",
-					r.lo, r.hi, handoverStateName(hoState(ho)))
-			}
+		_, _, err := step(n.hstate, evProbeOK)
+		if err == nil && slices.ContainsFunc(deowned, func(r keyRange) bool { return r.lo < ho.lo || r.hi > ho.hi }) {
+			err = fmt.Errorf("outside the moving range [%#x, %#x]", ho.lo, ho.hi)
+		}
+		if err != nil {
+			n.mu.Unlock()
+			return fmt.Errorf("cluster: map de-owns %#x with no completed handover covering it: %w", deowned, err)
 		}
 		n.mu.Unlock()
 		// Probe the target before surrendering ownership: a target that
@@ -670,34 +522,21 @@ func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 		// answer) suspends the handover instead — resumable, never lossy.
 		// hmu is held throughout, so the handover cannot change underneath
 		// the probe.
-		fresh, _, perr := ho.peer.ImportResume(ho.lo, ho.hi)
-		if perr != nil {
-			n.suspendHandoverLocked(ho, fmt.Errorf("cutover probe to %s: %w", ho.addr, perr))
-			return fmt.Errorf("cluster: refusing de-own of [%#x, %#x]: target %s unreachable at cutover (handover suspended): %w",
-				ho.lo, ho.hi, ho.addr, perr)
+		if fresh, _, perr := ho.peer.ImportResume(ho.lo, ho.hi); perr != nil || fresh {
+			ev, cause := evProbeFresh, fmt.Errorf("target %s restarted before cutover; import session lost, recopying", ho.addr)
+			if perr != nil {
+				ev, cause = evExhausted, fmt.Errorf("target %s unreachable at cutover: %w", ho.addr, perr)
+			}
+			n.fire(ho, ev, cause)
+			return fmt.Errorf("cluster: refusing de-own of [%#x, %#x] (handover suspended): %w", ho.lo, ho.hi, cause)
 		}
-		if fresh {
-			// The target restarted between copy and cutover: its data and
-			// session are gone (the probe opened an empty one). Reset the
-			// copy progress so the resume recopies everything.
-			ho.watermark.Store(ho.lo)
-			ho.copied.Store(0)
-			ho.copyDone.Store(false)
-			n.mu.Lock()
-			ho.pending = nil
-			n.mu.Unlock()
-			n.suspendHandoverLocked(ho, fmt.Errorf("target %s restarted before cutover; import session lost", ho.addr))
-			return fmt.Errorf("cluster: refusing de-own of [%#x, %#x]: target %s restarted before cutover (handover suspended for recopy)",
-				ho.lo, ho.hi, ho.addr)
-		}
+		// The state moves to Done under the same mu hold that de-owns the
+		// range: no write can see Done while the range is still owned.
 		n.mu.Lock()
-		if n.ho != ho || ho.state != HandoverCopied {
-			st := hoState(n.ho)
+		if acts, err = n.stepLocked(ho, evProbeOK, nil); err != nil {
 			n.mu.Unlock()
-			return fmt.Errorf("cluster: handover changed during cutover probe (state %s)", handoverStateName(st))
+			return err
 		}
-		ho.state = HandoverDone
-		finalize = ho
 	}
 	// A session for a range the new map gives us commits implicitly: the
 	// source finalizes with an explicit ImportEnd too, but adopting here
@@ -708,9 +547,7 @@ func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 	n.lo, n.hi, n.epoch, n.blob = selfLo, selfHi, m.Epoch, blob
 	n.mu.Unlock()
 
-	if finalize != nil {
-		n.endImport(finalize.peer, finalize.addr, true)
-	}
+	n.run(ho, evProbeOK, acts, nil) // commits the target's import
 	// Scrub de-owned keys off the response path: the region already answers
 	// WrongShard, and the caller is mid-cutover — it cannot install the map
 	// on the new owner until we respond, so the fail-closed routing window
@@ -745,13 +582,6 @@ func (n *Node) SetMap(selfLo, selfHi uint64, blob []byte) error {
 		}()
 	}
 	return nil
-}
-
-func hoState(ho *handover) uint8 {
-	if ho == nil {
-		return HandoverNone
-	}
-	return ho.state
 }
 
 type keyRange struct{ lo, hi uint64 }
@@ -809,380 +639,11 @@ func (n *Node) scrub(lo, hi uint64) error {
 	}
 }
 
-// --- handover: source side --------------------------------------------------
-
-// StartHandover begins migrating the owned subrange [lo, hi] to the shard
-// server at addr: it opens an import session there, starts mirroring
-// moving-range writes, and kicks off the bulk copy. Progress is polled
-// with HandoverStatus; cutover happens when a new map de-owns the range
-// (SetMap).
-func (n *Node) StartHandover(lo, hi uint64, addr string) error {
-	if lo > hi {
-		return fmt.Errorf("cluster: handover range inverted [%#x, %#x]", lo, hi)
-	}
-	if n.dial == nil {
-		return errors.New("cluster: node has no peer dialer")
-	}
-	n.mu.RLock()
-	err := n.checkHandoverLocked(lo, hi)
-	n.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	peer, err := n.dial(addr)
-	if err != nil {
-		return fmt.Errorf("cluster: dialing handover target %s: %w", addr, err)
-	}
-	if err := peer.ImportStart(lo, hi); err != nil {
-		peer.Close()
-		return fmt.Errorf("cluster: opening import session on %s: %w", addr, err)
-	}
-	ho := &handover{lo: lo, hi: hi, addr: addr, peer: peer, state: HandoverCopying, stop: make(chan struct{})}
-	ho.watermark.Store(lo)
-	n.hmu.Lock()
-	n.mu.Lock()
-	// Re-check under the lock: a map install may have raced the dial.
-	if err := n.checkHandoverLocked(lo, hi); err != nil {
-		n.mu.Unlock()
-		n.hmu.Unlock()
-		peer.ImportEnd(false)
-		peer.Close()
-		return err
-	}
-	n.ho = ho
-	n.mu.Unlock()
-	n.hmu.Unlock()
-	// Every later write to [lo, hi] is mirrored, but one submitted before
-	// n.ho was set may still be queued in the backend: wait it out so the
-	// bulk copy reads it (DESIGN §11).
-	n.be.Barrier()
-	go n.runCopy(ho, peer, ho.stop)
-	return nil
-}
-
-// checkHandoverLocked validates that [lo, hi] is fully owned and no
-// handover is live or suspended. Callers hold mu.
-func (n *Node) checkHandoverLocked(lo, hi uint64) error {
-	if !n.ownsLocked(lo) || !n.ownsLocked(hi) {
-		return fmt.Errorf("cluster: handover range [%#x, %#x] not fully owned ([%#x, %#x])", lo, hi, n.lo, n.hi)
-	}
-	switch ho := n.ho; {
-	case ho == nil:
-	case ho.state == HandoverCopying || ho.state == HandoverCopied:
-		return fmt.Errorf("cluster: handover of [%#x, %#x] already %s", ho.lo, ho.hi, handoverStateName(ho.state))
-	case ho.state == HandoverFailed:
-		return fmt.Errorf("%w: [%#x, %#x] to %s — resume or abort it first", ErrHandoverSuspended, ho.lo, ho.hi, ho.addr)
-	}
-	return nil
-}
-
-// HandoverInfo is a snapshot of the live (or last) handover's progress.
-type HandoverInfo struct {
-	State     uint8
-	Lo, Hi    uint64 // moving range; zero unless a handover exists
-	Target    string // target server address
-	Copied    uint64 // pairs accepted by the target's bulk import
-	Mirrored  uint64 // double-writes acked by the target
-	Retries   uint64 // peer-call retries across all runs
-	Resumes   uint64 // successful resumes
-	Watermark uint64 // next bulk-copy key (resume restarts here)
-	Cause     error  // last suspension cause; nil unless State is HandoverFailed
-}
-
-// HandoverStatus reports the live (or last) handover's progress.
-func (n *Node) HandoverStatus() HandoverInfo {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ho := n.ho
-	if ho == nil {
-		return HandoverInfo{State: HandoverNone}
-	}
-	return HandoverInfo{
-		State:     ho.state,
-		Lo:        ho.lo,
-		Hi:        ho.hi,
-		Target:    ho.addr,
-		Copied:    ho.copied.Load(),
-		Mirrored:  ho.mirrored.Load(),
-		Retries:   ho.retries.Load(),
-		Resumes:   ho.resumes.Load(),
-		Watermark: ho.watermark.Load(),
-		Cause:     ho.failCause,
-	}
-}
-
-// currentRun reports whether stop is still ho's live run. Callers hold mu
-// (any mode); resume swaps ho.stop under mu exclusively, so a positive
-// answer pins the run for the duration of the lock.
-func (h *handover) currentRun(stop chan struct{}) bool { return h.stop == stop }
-
-// runCopy is the bulk-copy goroutine: it pages the moving range out of the
-// local index and streams it to the target's import session, advancing the
-// watermark after every accepted page so a later resume can continue
-// instead of recopying. Writes that land mid-copy are covered by the
-// mirror, and the target's insert-if-absent + tombstones make copy/mirror
-// interleavings converge (see importSession). peer and stop are the run's
-// own pair: after a resume supersedes this run, progress recording is
-// skipped (currentRun) and the next stop check exits.
-func (n *Node) runCopy(ho *handover, peer Peer, stop chan struct{}) {
-	buf := make([]kv.KV, 0, copyPage)
-	keys := make([]uint64, 0, copyPage)
-	vals := make([]uint64, 0, copyPage)
-	next := ho.watermark.Load()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		buf = n.idx.Scan(next, copyPage, buf[:0])
-		keys, vals = keys[:0], vals[:0]
-		for _, p := range buf {
-			if p.Key > ho.hi {
-				break
-			}
-			keys = append(keys, p.Key)
-			vals = append(vals, p.Value)
-		}
-		if len(keys) > 0 {
-			err := n.retryPeer(ho, stop, false, func() error {
-				_, e := peer.ImportBatch(keys, vals)
-				return e
-			})
-			if err != nil {
-				n.hmu.Lock()
-				n.suspendHandoverLocked(ho, fmt.Errorf("bulk copy to %s: %w", ho.addr, err))
-				n.hmu.Unlock()
-				return
-			}
-		}
-		done := len(buf) < copyPage
-		last := next
-		if len(buf) > 0 {
-			last = buf[len(buf)-1].Key
-		}
-		if !done && (last >= ho.hi || last == ^uint64(0)) {
-			done = true
-		}
-		// Record progress only while this run is current: a stale run's page
-		// may still land (idempotently) on the target, but it must not move
-		// the watermark of a fresh-restarted copy.
-		n.mu.RLock()
-		if ho.currentRun(stop) {
-			ho.copied.Add(uint64(len(keys)))
-			if !done {
-				ho.watermark.Store(last + 1)
-			} else {
-				ho.watermark.Store(last)
-				ho.copyDone.Store(true)
-			}
-		}
-		n.mu.RUnlock()
-		if done {
-			break
-		}
-		next = last + 1
-	}
-	n.hmu.Lock()
-	n.mu.Lock()
-	if n.ho == ho && ho.currentRun(stop) && ho.state == HandoverCopying {
-		ho.state = HandoverCopied
-	}
-	n.mu.Unlock()
-	n.hmu.Unlock()
-}
-
-// suspendHandoverLocked marks ho failed-but-resumable: the run stops and
-// the peer connection closes, but — unlike an abort — the target's import
-// session is left alive so HandoverResume can reattach and continue from
-// the watermark. Callers hold hmu.
-func (n *Node) suspendHandoverLocked(ho *handover, cause error) {
-	n.mu.Lock()
-	if ho.state != HandoverCopying && ho.state != HandoverCopied {
-		n.mu.Unlock()
-		return
-	}
-	ho.state = HandoverFailed
-	ho.failCause = cause
-	close(ho.stop)
-	peer := ho.peer
-	n.mu.Unlock()
-	n.logErr("cluster: handover of [%#x, %#x] suspended: %v", ho.lo, ho.hi, cause)
-	if n.events.Failed != nil {
-		n.events.Failed()
-	}
-	if err := peer.Close(); err != nil {
-		n.logErr("cluster: closing peer %s: %v", ho.addr, err)
-	}
-}
-
-// HandoverResume restarts a suspended handover: it redials the target,
-// reattaches to (or, after a target restart, recreates) the import
-// session, replays the journal of suspended-window writes, and continues
-// the bulk copy from the watermark — or goes straight back to
-// HandoverCopied when the copy had already finished.
-func (n *Node) HandoverResume() error {
-	if n.dial == nil {
-		return errors.New("cluster: node has no peer dialer")
-	}
-	n.mu.RLock()
-	ho := n.ho
-	var state uint8
-	if ho != nil {
-		state = ho.state
-	}
-	n.mu.RUnlock()
-	if ho == nil {
-		return errors.New("cluster: no handover to resume")
-	}
-	if state != HandoverFailed {
-		return fmt.Errorf("cluster: handover is %s; only a suspended handover resumes", handoverStateName(state))
-	}
-	peer, err := n.dial(ho.addr)
-	if err != nil {
-		return fmt.Errorf("cluster: redialing handover target %s: %w", ho.addr, err)
-	}
-	fresh, _, err := peer.ImportResume(ho.lo, ho.hi)
-	if err != nil {
-		peer.Close()
-		return fmt.Errorf("cluster: reattaching import session on %s: %w", ho.addr, err)
-	}
-	stop := make(chan struct{})
-	n.hmu.Lock()
-	n.mu.Lock()
-	if n.ho != ho || ho.state != HandoverFailed {
-		n.mu.Unlock()
-		n.hmu.Unlock()
-		peer.Close()
-		return errors.New("cluster: handover changed during resume")
-	}
-	ho.peer, ho.stop, ho.failCause = peer, stop, nil
-	if fresh {
-		// The target lost the session (restart): it starts empty, so the
-		// journal is subsumed by a full recopy of current local state.
-		ho.watermark.Store(ho.lo)
-		ho.copied.Store(0)
-		ho.copyDone.Store(false)
-		ho.pending = nil
-	}
-	n.mu.Unlock()
-	// Replay the suspended-window journal under hmu (writers queue behind
-	// it): mirrors overwrite and maintain tombstones, so replay before the
-	// bulk copy resumes makes the target converge to every acked write.
-	for k, op := range ho.pending {
-		err := n.retryPeer(ho, stop, true, func() error { return peer.Mirror(op.del, k, op.val) })
-		if err != nil {
-			n.mu.Lock()
-			ho.state = HandoverCopying // let suspend see a live run
-			n.mu.Unlock()
-			n.suspendHandoverLocked(ho, fmt.Errorf("replaying journal to %s: %w", ho.addr, err))
-			n.hmu.Unlock()
-			return fmt.Errorf("cluster: resume of [%#x, %#x] failed replaying journal: %w", ho.lo, ho.hi, err)
-		}
-		delete(ho.pending, k)
-		ho.mirrored.Add(1)
-	}
-	copyDone := ho.copyDone.Load()
-	n.mu.Lock()
-	if copyDone {
-		ho.state = HandoverCopied
-	} else {
-		ho.state = HandoverCopying
-	}
-	ho.resumes.Add(1)
-	n.mu.Unlock()
-	n.hmu.Unlock()
-	if n.events.Resumed != nil {
-		n.events.Resumed()
-	}
-	if !copyDone {
-		go n.runCopy(ho, peer, stop)
-	}
-	n.logErr("cluster: handover of [%#x, %#x] resumed (fresh=%v, watermark %#x)", ho.lo, ho.hi, fresh, ho.watermark.Load())
-	return nil
-}
-
-// HandoverAbort abandons the node's handover entirely: the run stops, the
-// target is told (best effort) to scrub its partial import, and the
-// node's handover slot clears so a new StartHandover can begin.
-func (n *Node) HandoverAbort() error {
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	n.mu.Lock()
-	ho := n.ho
-	if ho == nil {
-		n.mu.Unlock()
-		return errors.New("cluster: no handover to abort")
-	}
-	if ho.state == HandoverDone {
-		n.mu.Unlock()
-		return errors.New("cluster: handover already completed; nothing to abort")
-	}
-	live := ho.state == HandoverCopying || ho.state == HandoverCopied
-	if live {
-		close(ho.stop)
-	}
-	ho.state = HandoverFailed
-	peer := ho.peer
-	n.ho = nil
-	n.mu.Unlock()
-	n.logErr("cluster: handover of [%#x, %#x] aborted", ho.lo, ho.hi)
-	if live {
-		n.endImport(peer, ho.addr, false)
-		return nil
-	}
-	// Suspended: the old peer is already closed. Redial (best effort) so
-	// the target scrubs the orphaned session instead of blocking future
-	// imports.
-	if n.dial != nil {
-		if p, err := n.dial(ho.addr); err == nil {
-			n.endImport(p, ho.addr, false)
-		} else {
-			n.logErr("cluster: abort could not reach %s to scrub its import: %v", ho.addr, err)
-		}
-	}
-	return nil
-}
-
-// Close stops any running copy and tears down the handover peer,
-// aborting the target's import session — a closing node cannot resume.
-func (n *Node) Close() error {
-	// Drain background de-own scrubs first (they take hmu themselves), so
-	// nothing touches the index after Close returns.
-	n.scrubs.Wait()
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	n.mu.Lock()
-	ho := n.ho
-	live := ho != nil && (ho.state == HandoverCopying || ho.state == HandoverCopied)
-	if live {
-		ho.state = HandoverFailed
-		ho.failCause = errors.New("node closing")
-		close(ho.stop)
-	}
-	n.mu.Unlock()
-	if live {
-		n.logErr("cluster: handover of [%#x, %#x] failed: node closing", ho.lo, ho.hi)
-		n.endImport(ho.peer, ho.addr, false)
-	}
-	return nil
-}
-
-// endImport ends the target's import session at addr — commit keeps the
-// imported range, abort scrubs it — and closes the peer, logging failures.
-func (n *Node) endImport(peer Peer, addr string, commit bool) {
-	if err := peer.ImportEnd(commit); err != nil {
-		n.logErr("cluster: import-end (commit=%v) to %s: %v", commit, addr, err)
-	}
-	if err := peer.Close(); err != nil {
-		n.logErr("cluster: closing peer %s: %v", addr, err)
-	}
-}
-
 // --- handover: target side --------------------------------------------------
 
 // ImportStart opens an import session for [lo, hi], which must be disjoint
-// from the owned range (a handover moves keys this node does not have).
+// from the owned range (a handover moves keys this node does not have),
+// and fails if one is already open.
 func (n *Node) ImportStart(lo, hi uint64) error {
 	fresh, _, err := n.ImportResume(lo, hi)
 	if err == nil && !fresh {
@@ -1191,12 +652,12 @@ func (n *Node) ImportStart(lo, hi uint64) error {
 	return err
 }
 
-// ImportResume reattaches a handover source to this node's import
-// session after the peer link dropped. A session for exactly [lo, hi]
-// answers fresh=false with its progress; no session at all (this node
-// restarted and lost it) opens a new one and answers fresh=true, telling
-// the source to recopy from the start. A session for a different range is
-// an error.
+// ImportResume opens this node's import session for a handover source,
+// or reattaches the source to it after the peer link dropped. A session
+// for exactly [lo, hi] answers fresh=false with its progress; no session
+// at all (none yet, or this node restarted and lost it) opens a new one
+// and answers fresh=true, telling a resuming source to recopy from the
+// start. A session for a different range is an error.
 //
 // A fresh session opens over a clean range: [lo, hi] is scrubbed from the
 // local index first, and a failed scrub fails the open. Keys left there —
@@ -1312,6 +773,18 @@ func (n *Node) MirrorApply(del bool, key, val uint64) error {
 		delete(imp.tombs, key)
 	}
 	return nil
+}
+
+// Close stops any running copy and ends the handover as an abort does —
+// a closing node cannot resume, so even a suspended handover's import
+// session is ended on its target (redialled, best effort).
+func (n *Node) Close() error {
+	// Drain background de-own scrubs first (they take hmu themselves), so
+	// nothing touches the index after Close returns.
+	n.scrubs.Wait()
+	n.hmu.Lock()
+	defer n.hmu.Unlock()
+	return n.fire(n.ho, evClose, errors.New("node closing"))
 }
 
 // Len is the local index size. During a handover it double-counts the

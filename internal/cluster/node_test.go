@@ -126,7 +126,6 @@ func (p *loopPeer) node() *Node {
 	return p.n
 }
 
-func (p *loopPeer) ImportStart(lo, hi uint64) error { return p.node().ImportStart(lo, hi) }
 func (p *loopPeer) ImportResume(lo, hi uint64) (bool, uint64, error) {
 	p.mu.Lock()
 	if p.failResumes > 0 {
@@ -214,10 +213,10 @@ func waitState(t *testing.T, n *Node, want uint8) {
 			return
 		}
 		if st == HandoverFailed && want != HandoverFailed {
-			t.Fatalf("handover failed while waiting for %s", handoverStateName(want))
+			t.Fatalf("handover failed while waiting for %s", HandoverStateName(want))
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("handover stuck in %s waiting for %s", handoverStateName(st), handoverStateName(want))
+			t.Fatalf("handover stuck in %s waiting for %s", HandoverStateName(st), HandoverStateName(want))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -508,7 +507,7 @@ func TestHandoverFullCutover(t *testing.T) {
 		t.Errorf("target Get(mid+7) = %d,%v,%v", v, ok, err)
 	}
 	if st := src.HandoverStatus().State; st != HandoverDone {
-		t.Errorf("source handover state %s, want done", handoverStateName(st))
+		t.Errorf("source handover state %s, want done", HandoverStateName(st))
 	}
 }
 
@@ -688,7 +687,7 @@ func TestMirrorFailureFailsClosed(t *testing.T) {
 	// ...the handover is suspended, with the retries it burned visible...
 	info := src.HandoverStatus()
 	if info.State != HandoverFailed {
-		t.Fatalf("handover state %s, want failed", handoverStateName(info.State))
+		t.Fatalf("handover state %s, want failed", HandoverStateName(info.State))
 	}
 	if info.Retries < 2 {
 		t.Errorf("retries = %d, want >= 2 (attempts exhausted)", info.Retries)
@@ -927,7 +926,7 @@ func TestCutoverProbeTargetRestart(t *testing.T) {
 	info := src.HandoverStatus()
 	if info.State != HandoverFailed {
 		t.Fatalf("state = %s after refused cutover, want %s",
-			handoverStateName(info.State), handoverStateName(HandoverFailed))
+			HandoverStateName(info.State), HandoverStateName(HandoverFailed))
 	}
 	if info.Watermark != mid || info.Copied != 0 {
 		t.Errorf("progress not reset for recopy: watermark %#x copied %d", info.Watermark, info.Copied)
@@ -1009,7 +1008,7 @@ func TestCutoverProbeUnreachable(t *testing.T) {
 	info := src.HandoverStatus()
 	if info.State != HandoverFailed {
 		t.Fatalf("state = %s after refused cutover, want %s",
-			handoverStateName(info.State), handoverStateName(HandoverFailed))
+			HandoverStateName(info.State), HandoverStateName(HandoverFailed))
 	}
 	if info.Copied != total {
 		t.Errorf("copy progress lost on unreachable probe: copied %d, want %d", info.Copied, total)
@@ -1059,7 +1058,7 @@ func TestHandoverAbortClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := src.HandoverStatus().State; st != HandoverNone {
-		t.Fatalf("post-abort state %s, want none", handoverStateName(st))
+		t.Fatalf("post-abort state %s, want none", HandoverStateName(st))
 	}
 	if dstIdx.Len() != 0 {
 		t.Fatalf("abort left %d keys on the target", dstIdx.Len())
@@ -1092,4 +1091,42 @@ func TestStartHandoverValidation(t *testing.T) {
 	if err := n.StartHandover(0, 10, "dst"); err == nil {
 		t.Error("second concurrent handover accepted")
 	}
+}
+
+// TestNodeCloseEndsSuspendedImport: closing a node whose handover is
+// suspended ends the target's import session (redialled, since the run's
+// peer is closed), so the restarted source can start the same handover
+// again instead of finding the target's session still in progress.
+func TestNodeCloseEndsSuspendedImport(t *testing.T) {
+	const mid = uint64(1) << 63
+	dstIdx := newFakeIndex()
+	dst := mustNode(t, dstIdx, 1, 0, nil)
+	peer := newLoopPeer(dst)
+	dial := func(string) (Peer, error) { return peer, nil }
+	src := mustNode(t, newFakeIndex(), 0, ^uint64(0), dial)
+	for i := uint64(0); i < 100; i++ {
+		if err := src.Insert(mid+i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.StartHandover(mid, ^uint64(0), "dst"); err != nil {
+		t.Fatal(err)
+	}
+	peer.setFailMirrors(1 << 30)
+	if err := src.Insert(mid+1000, 7); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, src, HandoverFailed)
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := dstIdx.Len(); n != 0 {
+		t.Errorf("closed source left %d imported keys on the target", n)
+	}
+	peer.setFailMirrors(0)
+	restarted := mustNode(t, newFakeIndex(), 0, ^uint64(0), dial)
+	if err := restarted.StartHandover(mid, ^uint64(0), "dst"); err != nil {
+		t.Fatalf("StartHandover after the old source closed suspended: %v", err)
+	}
+	waitState(t, restarted, HandoverCopied)
 }

@@ -319,7 +319,7 @@ func TestNodeWALPoisonedStore(t *testing.T) {
 			t.Fatalf("the failed write left %d journal entries", journaled)
 		}
 		if st := src.node.HandoverStatus().State; st != HandoverCopied {
-			t.Fatalf("handover %s after a failed local write, want copied", handoverStateName(st))
+			t.Fatalf("handover %s after a failed local write, want copied", HandoverStateName(st))
 		}
 	})
 }
@@ -422,7 +422,7 @@ func TestNodeWALImportAfterTargetRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := src.node.HandoverStatus().State; st != HandoverFailed {
-		t.Fatalf("handover %s after the failed mirror, want failed", handoverStateName(st))
+		t.Fatalf("handover %s after the failed mirror, want failed", HandoverStateName(st))
 	}
 
 	// It restarts from its log, with the copied pages and no session.

@@ -29,12 +29,6 @@ func (p testPeer) ctx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 10*time.Second)
 }
 
-func (p testPeer) ImportStart(lo, hi uint64) error {
-	ctx, cancel := p.ctx()
-	defer cancel()
-	return p.c.ImportStart(ctx, lo, hi)
-}
-
 func (p testPeer) ImportBatch(keys, vals []uint64) (uint64, error) {
 	ctx, cancel := p.ctx()
 	defer cancel()
