@@ -61,18 +61,23 @@ func (e *endpoint) HandoverStart(ctx context.Context, lo, hi uint64, addr string
 	return e.do(ctx, &proto.Request{Op: proto.OpHandoverStart, Lo: lo, Hi: hi, Addr: addr}, new(proto.Response))
 }
 
-// HandoverStatus polls the server's current (or last) handover. Cause is
-// node-local and always nil here: the wire status does not carry it.
+// HandoverStatus polls the server's current (or last) handover. Cause
+// carries the text of the node's suspension cause; it is nil unless the
+// handover is suspended.
 func (e *endpoint) HandoverStatus(ctx context.Context) (cluster.HandoverInfo, error) {
 	var resp proto.Response
 	if err := e.do(ctx, &proto.Request{Op: proto.OpHandoverStatus}, &resp); err != nil {
 		return cluster.HandoverInfo{}, err
 	}
-	return cluster.HandoverInfo{
+	info := cluster.HandoverInfo{
 		State: resp.State, Copied: resp.Copied, Mirrored: resp.Mirrored,
 		Retries: resp.Retries, Resumes: resp.Resumes, Watermark: resp.Watermark,
 		Lo: resp.Lo, Hi: resp.Hi, Target: resp.Addr,
-	}, nil
+	}
+	if resp.Cause != "" {
+		info.Cause = errors.New(resp.Cause)
+	}
+	return info, nil
 }
 
 // HandoverResume tells the server to resume its suspended handover: redial

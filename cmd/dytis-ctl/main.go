@@ -231,6 +231,9 @@ func cmdStatus(args []string) error {
 			fmt.Printf("%-20s   moving [%#016x, %#016x] to %s: copied %d, mirrored %d, retries %d, resumes %d, watermark %#x\n",
 				"", ho.Lo, ho.Hi, ho.Target, ho.Copied, ho.Mirrored, ho.Retries, ho.Resumes, ho.Watermark)
 		}
+		if ho.Cause != nil {
+			fmt.Printf("%-20s   suspended: %v\n", "", ho.Cause)
+		}
 	}
 	return nil
 }

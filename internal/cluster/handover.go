@@ -535,7 +535,9 @@ func (n *Node) runCopy(ho *handover, peer Peer, stop chan struct{}) {
 			if !done {
 				ho.watermark.Store(next + 1)
 			} else {
-				ho.watermark.Store(next)
+				// The last page may have scanned past hi into keys
+				// this node keeps; the watermark stays in the range.
+				ho.watermark.Store(min(next, ho.hi))
 				ho.copyDone.Store(true)
 			}
 		}

@@ -738,6 +738,41 @@ func TestMirrorRetryRidesOutBlip(t *testing.T) {
 	}
 }
 
+// TestHandoverWatermarkWithinRange: the copy's last page scans past the
+// moving range's hi into keys the source keeps; the finished watermark
+// stays at most hi, and only the range's keys were sent.
+func TestHandoverWatermarkWithinRange(t *testing.T) {
+	const mid = uint64(1) << 63
+	srcIdx, dstIdx := newFakeIndex(), newFakeIndex()
+	dst := mustNode(t, dstIdx, 1, 0, nil)
+	peer := newLoopPeer(dst)
+	src := mustNode(t, srcIdx, 0, ^uint64(0), func(addr string) (Peer, error) { return peer, nil })
+	// A full page and 100 keys in the range, then 50 keys past hi.
+	const moving, past = copyPage + 100, 50
+	for i := uint64(0); i < moving+past; i++ {
+		if err := src.Insert(mid+i*3, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hi := mid + (moving-1)*3 + 1
+	if err := src.StartHandover(mid, hi, "dst"); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, src, HandoverCopied)
+	info := src.HandoverStatus()
+	if info.Copied != moving {
+		t.Errorf("copied = %d, want %d", info.Copied, moving)
+	}
+	if info.Watermark > info.Hi {
+		t.Errorf("watermark %#x lies past hi %#x", info.Watermark, info.Hi)
+	}
+	for _, page := range peer.batchKeys() {
+		if page[len(page)-1] > hi {
+			t.Fatalf("copy sent key %#x past hi %#x", page[len(page)-1], hi)
+		}
+	}
+}
+
 // TestHandoverWatermarkResume: a bulk-copy failure suspends the handover
 // at a page boundary; resume reattaches to the same import session and
 // continues from the watermark — already-copied pages are not re-sent.

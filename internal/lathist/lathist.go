@@ -1,6 +1,8 @@
-// Package lathist provides a fixed-memory, log-linear latency histogram used
-// by the benchmark harness to report average and tail (p99, p99.99)
-// latencies, the metrics Table 2 of the DyTIS paper reports.
+// Package lathist provides a log-linear latency histogram of fixed bucket
+// layout used by the benchmark harness to report average and tail (p99,
+// p99.99) latencies, the metrics Table 2 of the DyTIS paper reports. A Hist
+// is ~15 KiB of buckets; an AtomicHist is one pointer until its first
+// Record allocates them.
 //
 // Values are recorded in nanoseconds. Buckets are organized as 64 powers of
 // two, each subdivided into 32 linear sub-buckets, giving a worst-case

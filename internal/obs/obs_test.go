@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dytis/internal/core"
 	"dytis/internal/datasets"
@@ -216,4 +217,13 @@ func fetch(t *testing.T, url string) string {
 		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
 	return string(body)
+}
+
+// TestObserverFootprint pins the size of an unrecorded Observer: its
+// per-op, per-shard histograms are one pointer each until an operation
+// records into them.
+func TestObserverFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Observer{}); got > 4<<10 {
+		t.Fatalf("sizeof(Observer) = %d B, want <= 4 KiB", got)
+	}
 }

@@ -94,6 +94,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	seed(&Response{ID: 12, Op: OpShardInfo, Lo: 0, Hi: 99, Epoch: 4, State: 1})
 	seed(&Response{ID: 13, Op: OpMapGet, MapBlob: []byte{9, 9}})
 	seed(&Response{ID: 14, Op: OpHandoverStatus, State: 2, Copied: 100, Mirrored: 3})
+	seed(&Response{ID: 17, Op: OpHandoverStatus, State: 3, Addr: "a:1", Cause: "bulk copy to a:1: refused"})
 	seed(&Response{ID: 15, Op: OpImportBatch, Applied: 5})
 	seed(&Response{ID: 16, Op: OpGet, Status: StatusWrongShard, Msg: "not mine"})
 	f.Add([]byte{})

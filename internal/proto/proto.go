@@ -118,8 +118,10 @@
 //	ShardInfo       lo(8) hi(8) epoch(8) state(1)
 //	MapGet          map-blob(rest)
 //	HandoverStatus  state(1) copied(8) mirrored(8) retries(8) resumes(8)
-//	                watermark(8) lo(8) hi(8) targetAddr(rest)
-//	                len <= MaxAddr; empty when no handover exists
+//	                watermark(8) lo(8) hi(8) addrLen(1) targetAddr(addrLen)
+//	                cause(rest)
+//	                addrLen <= MaxAddr; both empty when no handover exists;
+//	                cause is the suspension's text, empty unless suspended
 //	ImportResume    fresh(1) applied(8)                 fresh 0 or 1
 //	ImportBatch     applied(8)
 //	MapSet/HandoverStart/HandoverResume/HandoverAbort/ImportStart/ImportEnd/Mirror   —
@@ -436,6 +438,7 @@ type Response struct {
 	Resumes   uint64 // HandoverStatus: successful resumes so far
 	Watermark uint64 // HandoverStatus: next bulk-copy key (resume restarts here)
 	Addr      string // HandoverStatus: handover target endpoint ("" = none)
+	Cause     string // HandoverStatus: last suspension cause ("" = none)
 	Applied   uint64 // ImportBatch/ImportResume: pairs actually applied (duplicates skipped)
 	Fresh     bool   // ImportResume: the session was recreated, not reattached
 	// MapBlob is the server's current encoded shard map: the MapGet answer,
@@ -682,7 +685,9 @@ func AppendResponseV(dst []byte, r *Response, ver uint8) ([]byte, error) {
 		dst = appendU64(dst, r.Watermark)
 		dst = appendU64(dst, r.Lo)
 		dst = appendU64(dst, r.Hi)
+		dst = append(dst, byte(len(r.Addr)))
 		dst = append(dst, r.Addr...)
+		dst = append(dst, r.Cause...)
 	case OpImportResume:
 		dst = append(dst, boolByte(r.Fresh))
 		dst = appendU64(dst, r.Applied)
@@ -725,7 +730,7 @@ func responseSize(r *Response) int {
 	case OpDeleteBatch:
 		return n + 4 + min(len(r.Founds), MaxBatch)
 	case OpHandoverStatus:
-		return n + 1 + 7*8 + min(len(r.Addr), MaxAddr)
+		return n + 1 + 7*8 + 1 + min(len(r.Addr), MaxAddr) + len(r.Cause)
 	}
 	// ShardInfo's 25 bytes are the largest other fixed payload.
 	return n + 25 + min(len(r.MapBlob), MaxMapBlob)
@@ -1160,10 +1165,15 @@ func DecodeResponseV(body []byte, resp *Response, ver uint8) error {
 		if resp.Hi, err = rd.u64(); err != nil {
 			return err
 		}
-		if n := rd.remaining(); n > MaxAddr {
-			return fmt.Errorf("%w: address of %d bytes", ErrLimit, n)
+		var n uint8
+		if n, err = rd.u8(); err != nil {
+			return err
 		}
-		resp.Addr = string(rd.b[rd.off:])
+		if int(n) > rd.remaining() {
+			return fmt.Errorf("%w: address of %d bytes, %d remain", ErrTruncated, n, rd.remaining())
+		}
+		resp.Addr = string(rd.b[rd.off : rd.off+int(n)])
+		resp.Cause = string(rd.b[rd.off+int(n):])
 		rd.off = len(rd.b)
 	case OpImportResume:
 		f, err := rd.u8()

@@ -54,7 +54,10 @@ func TestClusterResponseRoundTrip(t *testing.T) {
 		{ID: 4, Op: OpHandoverStart},
 		{ID: 5, Op: OpHandoverStatus, State: 2, Copied: 1 << 30, Mirrored: 17,
 			Retries: 4, Resumes: 1, Watermark: 1 << 40, Lo: 100, Hi: 200, Addr: "127.0.0.1:7071"},
-		{ID: 5, Op: OpHandoverStatus}, // no handover: empty addr, all-zero counters
+		{ID: 5, Op: OpHandoverStatus, State: 3, Copied: 4096, Retries: 3, Lo: 100, Hi: 200,
+			Addr: "127.0.0.1:7071", Cause: "bulk copy to 127.0.0.1:7071: connection refused"},
+		{ID: 5, Op: OpHandoverStatus, Addr: strings.Repeat("a", MaxAddr), Cause: "x"},
+		{ID: 5, Op: OpHandoverStatus}, // no handover: empty addr and cause, all-zero counters
 		{ID: 6, Op: OpImportStart},
 		{ID: 7, Op: OpImportBatch, Applied: 12345},
 		{ID: 8, Op: OpImportEnd},
@@ -162,6 +165,37 @@ func TestClusterRequestLimits(t *testing.T) {
 	}
 	if _, err := AppendRequest(nil, &Request{Op: OpImportBatch, Keys: []uint64{1}}); err == nil {
 		t.Error("import batch keys/vals mismatch not rejected")
+	}
+}
+
+// TestHandoverStatusAddrLength pins the status payload's address prefix:
+// the encoder refuses an address over MaxAddr, and the decoder refuses a
+// missing prefix or one that claims more bytes than the frame holds.
+func TestHandoverStatusAddrLength(t *testing.T) {
+	long := Response{ID: 1, Op: OpHandoverStatus, Addr: strings.Repeat("x", MaxAddr+1)}
+	if _, err := AppendResponseV(nil, &long, Version2); !errors.Is(err, ErrLimit) {
+		t.Errorf("oversized addr: got %v, want ErrLimit", err)
+	}
+	want := Response{ID: 1, Op: OpHandoverStatus, State: 3, Addr: "a:1", Cause: "boom"}
+	frame, err := AppendResponse(nil, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[4:]
+	// id(8) op(1) status(1) state(1) 7 counters(56), then the prefix.
+	at := 8 + 1 + 1 + 1 + 7*8
+	var got Response
+	if err := DecodeResponse(body[:at], &got); !errors.Is(err, ErrTruncated) {
+		t.Errorf("missing addr prefix: got %v, want ErrTruncated", err)
+	}
+	lying := append([]byte(nil), body...)
+	lying[at] = byte(len(want.Addr) + len(want.Cause) + 1)
+	if err := DecodeResponse(lying, &got); !errors.Is(err, ErrTruncated) {
+		t.Errorf("lying addr prefix: got %v, want ErrTruncated", err)
+	}
+	lying[at] = byte(len(want.Addr) + len(want.Cause))
+	if err := DecodeResponse(lying, &got); err != nil || got.Addr != want.Addr+want.Cause || got.Cause != "" {
+		t.Errorf("whole rest as addr: got %q/%q, %v", got.Addr, got.Cause, err)
 	}
 }
 

@@ -500,6 +500,9 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 		resp.State, resp.Copied, resp.Mirrored = info.State, info.Copied, info.Mirrored
 		resp.Retries, resp.Resumes, resp.Watermark = info.Retries, info.Resumes, info.Watermark
 		resp.Lo, resp.Hi, resp.Addr = info.Lo, info.Hi, info.Target
+		if info.Cause != nil {
+			resp.Cause = info.Cause.Error()
+		}
 	case proto.OpHandoverResume:
 		err = node.HandoverResume()
 	case proto.OpHandoverAbort:

@@ -19,7 +19,10 @@ const metricsShards = 8
 // Metrics collects server-side observability: per-opcode request latency
 // histograms (measured from decode to response enqueue, i.e. including the
 // index work but not the client's network time) and connection counters.
-// All methods are safe for concurrent use; the zero value is ready.
+// All methods are safe for concurrent use; the zero value is ready. An
+// unrecorded Metrics is ~2 KiB: each (opcode, shard) histogram allocates
+// its ~15 KiB of buckets on its first request, so a server pays only for
+// the opcodes and shards its traffic records.
 //
 // It deliberately mirrors internal/obs rather than replacing it: the obs
 // Observer keeps reporting index-side op latency and structure events, and

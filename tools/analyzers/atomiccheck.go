@@ -139,11 +139,15 @@ func (c *atomicChecker) checkFile(f *ast.File) {
 
 // checkCopy flags e when evaluating it copies an atomic-bearing value out of
 // existing memory (reading a variable, field, element, or dereference —
-// fresh composites and calls construct new values and are fine).
+// fresh composites and calls construct new values and are fine). A type
+// operand, as in new(T), names a type and copies nothing.
 func (c *atomicChecker) checkCopy(e ast.Expr) {
 	switch e.(type) {
 	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 	default:
+		return
+	}
+	if c.pass.TypesInfo.Types[e].IsType() {
 		return
 	}
 	t := c.pass.TypesInfo.TypeOf(e)

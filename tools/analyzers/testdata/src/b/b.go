@@ -35,6 +35,10 @@ func rangeCopy(cs []counters) {
 	}
 }
 
+func newIsFine() *counters {
+	return new(counters) // a type operand copies nothing
+}
+
 func pointerUseIsFine(c *counters) int64 {
 	p := c // pointer copy, no atomic state duplicated
 	return p.hits.Add(1)
