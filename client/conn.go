@@ -16,7 +16,7 @@ import (
 
 // clientConn is one pooled connection. Requests from any number of
 // goroutines interleave on it: each registers a waiter keyed by its request
-// id, appends its frame to the connection's pending buffer (see send), and
+// id, appends its frame to the connection's frame writer (see send), and
 // blocks on its own channel; the single read loop routes responses by id, so
 // pipelined completions can arrive in any order. Streaming scans register a
 // stream channel instead of a waiter: every OpScanChunk/OpScanEnd carrying
@@ -36,16 +36,8 @@ type clientConn struct {
 	// released when the response (or failure) arrives.
 	inflight chan struct{}
 
-	// The outbound path (send). Every frame is encoded into pending under
-	// wmu; the caller that finds no write in flight takes the baton and
-	// writes buffer after buffer until pending is empty.
-	wmu     sync.Mutex
-	pending []byte    // guarded-by: wmu — sealed frames no write has taken yet
-	spare   []byte    // guarded-by: wmu — the idle one of the two buffers
-	pendDL  time.Time // guarded-by: wmu — earliest write deadline among pending's frames, zero for none
-	writing bool      // guarded-by: wmu — a caller holds the baton; never cleared once a write has failed
-	yields  uint64    // guarded-by: wmu — writers that yielded before their first write
-	armedDL time.Time // write deadline armed on nc; only the baton holder touches it
+	w      proto.Writer  // the outbound path (send)
+	yields atomic.Uint64 // baton holders that yielded before their first write
 
 	dead atomic.Bool // set by fail: the pool's lock-free liveness check
 
@@ -74,10 +66,6 @@ type result struct {
 // more: after it received, or after it deregistered itself.
 var waiterPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
-// maxKeptBuf caps the outbound buffers a connection keeps between writes; a
-// larger one (a burst of big batches) is dropped after its write.
-const maxKeptBuf = 64 << 10
-
 // dialConn opens one connection to the endpoint: dial, then the HELLO
 // exchange, synchronously, before the read loop starts.
 func (e *endpoint) dialConn() (*clientConn, error) {
@@ -98,6 +86,7 @@ func (e *endpoint) dialConn() (*clientConn, error) {
 		inflight: make(chan struct{}, o.pipeline),
 		waiters:  make(map[uint64]chan reply),
 	}
+	cc.w.Init(nc, 0, 0, nil)
 	if err := cc.handshake(o.dialTimeout); err != nil {
 		nc.Close()
 		return nil, err
@@ -281,78 +270,32 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// send is the connection's one outbound path. It encodes and seals req
-// straight into the pending buffer under the write lock, so a caller's
-// frames reach the wire in the order it issued them.
-// If a write is in flight the frame rides the writer's next write and send
-// returns at once; otherwise the caller takes the baton and writes pending,
-// and whatever joined it meanwhile, until it finds pending empty under the
-// lock — so no frame ever sits in the buffer without a writer. A writer that
-// is not alone on the connection yields the processor once before its first
-// write: on few CPUs the other callers are runnable rather than running, and
-// only a yield lets their frames join this write (DESIGN.md §12).
+// send is the connection's one outbound path: it seals req into the frame
+// writer, so a caller's frames reach the wire in the order it issued them.
+// If a write is owed the frame rides it; otherwise the caller takes the
+// baton and flushes on its own goroutine. A baton holder that is not alone
+// on the connection yields once before its first write: on few CPUs the
+// other callers are runnable rather than running, and only a yield lets
+// their frames join this write (DESIGN.md §12).
 //
-// An error means req could not be encoded and nothing was buffered. Once
-// buffered, a frame may reach the server; a failed or timed-out write fails
-// the connection, which is how the writer and every caller whose frame was
-// in or behind that write learn of it (their waiters and streams receive the
-// error from fail). The write deadline of a group is the earliest deadline
-// among its callers' contexts.
+// An error means nothing was buffered. Once buffered, a frame may reach the
+// server; a failed or timed-out write fails the connection, and every
+// caller whose frame was in or behind it gets the error from fail. A
+// group's write deadline is the earliest among its callers' contexts.
 func (cc *clientConn) send(ctx context.Context, req *proto.Request, alone bool) error {
 	dl, _ := ctx.Deadline()
-	cc.wmu.Lock()
-	start := len(cc.pending)
-	buf, err := proto.AppendRequest(cc.pending, req)
-	if err != nil {
-		cc.pending = buf[:start]
-		cc.wmu.Unlock()
-		return err
+	if baton, err := cc.w.AppendRequest(req, dl); !baton {
+		return err // nil when a write is owed: the frame rides it
 	}
-	cc.pending = proto.SealFrame(buf, start)
-	if !dl.IsZero() && (cc.pendDL.IsZero() || dl.Before(cc.pendDL)) {
-		cc.pendDL = dl
-	}
-	if cc.writing {
-		cc.wmu.Unlock()
-		return nil
-	}
-	cc.writing = true
 	if !alone {
-		cc.yields++
-	}
-	cc.wmu.Unlock()
-	if !alone {
+		cc.yields.Add(1)
 		runtime.Gosched()
 	}
-	cc.flush()
-	return nil
-}
-
-// flush is the baton holder's loop: swap the two buffers, write the full
-// one, repeat until pending is empty under the lock. A write error fails the
-// whole connection (a partial frame desynchronizes the stream for every
-// user) and keeps the baton, so nothing is written after it.
-func (cc *clientConn) flush() {
-	cc.wmu.Lock()
-	for len(cc.pending) > 0 {
-		buf, dl := cc.pending, cc.pendDL
-		cc.pending, cc.spare, cc.pendDL = cc.spare[:0], nil, time.Time{}
-		cc.wmu.Unlock()
-		if !dl.Equal(cc.armedDL) {
-			cc.nc.SetWriteDeadline(dl)
-			cc.armedDL = dl
-		}
-		if _, err := cc.nc.Write(buf); err != nil {
-			cc.fail(fmt.Errorf("client: write: %w", err))
-			return
-		}
-		cc.wmu.Lock()
-		if cap(buf) <= maxKeptBuf {
-			cc.spare = buf
-		}
+	if err := cc.w.Flush(); err != nil {
+		// A partial frame desynchronizes the stream for every user.
+		cc.fail(fmt.Errorf("client: write: %w", err))
 	}
-	cc.writing = false
-	cc.wmu.Unlock()
+	return nil
 }
 
 // abandon deregisters the waiter of a caller that gave up. It reports

@@ -2,8 +2,8 @@ package client
 
 // Tests for the connection's outbound path (clientConn.send): the designed
 // write counts, gated exactly, and the failure of a write that several
-// callers share. They live in the package so they can watch the pending
-// buffer and the yield counter; the transport is observed through WithDialer.
+// callers share. They live in the package so they can watch the writer's
+// pending buffer and the yield counter; the transport is observed through WithDialer.
 
 import (
 	"bufio"
@@ -169,9 +169,7 @@ func dialTapped(t *testing.T, addr string, d *tapDialer, opts ...Option) *Client
 }
 
 func (cc *clientConn) yieldCount() uint64 {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	return cc.yields
+	return cc.yields.Load()
 }
 
 // TestWriteCountLoneCaller: one caller on a connection makes exactly one
@@ -466,9 +464,7 @@ func (sw *sharedWrite) parked(t *testing.T, n, each int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		sw.cc.wmu.Lock()
-		got := len(sw.cc.pending)
-		sw.cc.wmu.Unlock()
+		got := sw.cc.w.Pending()
 		if got == n*each {
 			return
 		}

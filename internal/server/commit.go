@@ -3,15 +3,17 @@ package server
 // Submitted mutations. The read loop submits every mutation to the node
 // (cluster.Committer) and reads on. An in-memory backend completes it inside
 // Submit, and the read loop answers it like a read; a backend that commits
-// in groups (the durable wal.Store adapter) completes it later:
+// in groups (the durable wal.Store adapter) completes it later, and the
+// completion seals the ack into the connection's writer:
 //
-//	read loop ──submit──► node ──► backend queue ──commit──► mutation.complete ──► acks chan ──► write loop
+//	read loop ──submit──► node ──► backend queue ──commit──► mutation.complete ──ack──► writer ──wake──► write loop
 //
 // Whichever of the read loop leaving Submit and the completion moves the
 // mutation's state out of mutPending second answers it. A completion never
-// blocks (acks has a place for every pending mutation), pending mutations
-// are bounded by Pipeline (mutSlots) so backpressure still ends at the
-// client, and serve waits for all of them before it closes the out channel.
+// waits for room in the writer; pending mutations are bounded by Pipeline
+// (mutSlots) and the read loop waits for room after a queued submission, so
+// backpressure still ends at the client. serve waits for every mutation
+// before it lets the write loop finish.
 
 import (
 	"runtime/debug"
@@ -25,14 +27,15 @@ import (
 // A mutation's state: the handoff between the read loop and the completion.
 const (
 	mutPending uint32 = iota // inside Submit and not yet completed
-	mutQueued                // Submit returned first: the completion answers it through acks
+	mutQueued                // Submit returned first: the completion answers it
 	mutDone                  // completed first (or Submit panicked): the read loop answers it
 )
 
 // mutation is one submitted request: what its response echoes, what its
 // completion releases, its batch arguments (copied out of the read loop's
 // scratch, which the next frame overwrites) and its result. The read loop
-// reuses one it answered itself; acks' are recycled through mutPool.
+// reuses one it answered itself; a completion recycles its own through
+// mutPool.
 type mutation struct {
 	c     *conn
 	id    uint64
@@ -63,8 +66,8 @@ func newMutation() *mutation {
 }
 
 // complete is the backend's callback. Inside Submit it only records the
-// result; later, on the backend's committer, it does only what cannot
-// block: book the latency, release the admission slot, pass m to acks.
+// result; later, on the backend's committer, it does only what cannot block:
+// book the latency, append the ack without waiting for room, release m.
 func (m *mutation) complete(found bool, founds []bool, err error) {
 	m.found, m.err = found, err
 	if founds != nil {
@@ -73,14 +76,17 @@ func (m *mutation) complete(found bool, founds []bool, err error) {
 	if m.state.CompareAndSwap(mutPending, mutDone) {
 		return
 	}
-	c := m.c
+	c, slot := m.c, m.slot
 	if mt := c.srv.cfg.Metrics; mt != nil {
 		mt.recordOp(m.op, c.shard, m.n, time.Since(m.t0))
 	}
-	if m.slot != nil {
-		<-m.slot
+	resp := c.ackResponse(m)
+	if baton, _ := c.w.AppendResponses(false, &resp); baton {
+		c.kick()
 	}
-	c.acks <- m // never blocks: mutSlots keeps pending mutations within cap(acks)
+	m.c, m.slot, m.err = nil, nil, nil
+	mutPool.Put(m)
+	c.release(slot)
 }
 
 // submit hands c.req to the node and reports whether the connection should
@@ -105,7 +111,9 @@ func (c *conn) submit(t0 time.Time, slot chan struct{}) bool {
 		return false
 	}
 	if m.state.CompareAndSwap(mutPending, mutQueued) {
-		return true // the write loop recycles m once the ack is out
+		// The completion answers m without waiting for room, so the read
+		// loop waits for it here instead, before it reads on.
+		return c.w.WaitRoom() == nil
 	}
 	// Completed inside Submit: answer it here, as a read is answered.
 	c.spare = m
@@ -169,12 +177,4 @@ func (c *conn) release(slot chan struct{}) {
 		<-slot
 	}
 	<-c.mutSlots
-}
-
-// acked retires a mutation the write loop has taken; complete released its
-// admission slot.
-func (c *conn) acked(m *mutation) {
-	m.c, m.slot, m.err = nil, nil, nil
-	mutPool.Put(m)
-	c.release(nil)
 }

@@ -18,17 +18,21 @@ import (
 
 // conn is one client connection: a read loop (the serve goroutine itself,
 // which also executes the reads and submits the mutations; see commit.go)
-// feeding encoded responses to a write loop over the bounded out channel.
-// See the package comment for the backpressure chain.
+// sealing responses into the connection's frame writer, which the write
+// loop flushes. See the package comment for the backpressure chain.
 type conn struct {
 	srv   *Server
 	nc    netConn
 	raddr string // remote address, for force-close logs
-	out   chan []byte
 
-	// Read-loop scratch, reused across requests; response frames cycle
-	// through the free list below, so the steady state of a connection
-	// allocates nothing per request.
+	// w holds the sealed responses; only the write loop flushes it, woken
+	// through wake (one slot) by the append that took w's baton.
+	w    proto.Writer
+	wake chan struct{}
+	quit atomic.Bool // a stream's page failed: the write loop closes the connection after its next flush
+
+	// Read-loop scratch, reused across requests, so the steady state of a
+	// connection allocates nothing per request.
 	readBuf []byte
 	req     proto.Request
 	resp    proto.Response
@@ -38,49 +42,23 @@ type conn struct {
 	// loop starts.
 	feats uint32
 
-	// Streaming-scan state (scan.go). The read loop serves every stream's
-	// first page itself; only a stream that outlives it gets a goroutine and
-	// an entry in scans. scanStop is closed when the read loop exits; every
-	// scan goroutine joins through scanWg before the out channel closes, so a
-	// stream can always complete its pending send.
+	// Streaming-scan state (scan.go). Only a stream that outlives its first
+	// page gets a goroutine and an entry in scans. scanStop is closed when
+	// the read loop exits; every scan goroutine joins through scanWg before
+	// the write loop finishes, so a stream's last frame is always written.
 	scanMu   sync.Mutex
 	scans    map[uint64]*scanStream // guarded-by: scanMu
 	scanWg   sync.WaitGroup
 	scanStop chan struct{}
 
-	// queued tracks the bytes sitting in the out channel (enqueue adds,
-	// write loop subtracts), feeding the out-queue peak metric that bounds a
-	// streamed scan's server-side buffering.
-	queued atomic.Int64
-
-	// Submitted-mutation state (commit.go); the channels are made before the
-	// write loop starts. Kept last on purpose: the read and write loops both
-	// work in this struct, and placing these fields ahead of queued cost
-	// wire-pipelined ~10 % ops/s on 2 vCPUs (the existing fields changed
-	// cache lines).
-	acks     chan *mutation // mutations completed after Submit returned, to the write loop; capacity Pipeline
-	mutSlots chan struct{}  // semaphore bounding pending mutations to Pipeline; serve refills it before closing out
-	spare    *mutation      // read loop only: the mutation it answered last, reused for the next
-
-	// free returns written frames from the write loop to send, which encodes
-	// the next response into one instead of allocating. Capacity Pipeline,
-	// like out: every frame that can be queued has a place to come back to.
-	free chan []byte
+	// Submitted-mutation state (commit.go).
+	mutSlots chan struct{} // semaphore bounding pending mutations to Pipeline; serve refills it before the write loop finishes
+	spare    *mutation     // read loop only: the mutation it answered last, reused for the next
 
 	// scanBuf is the read loop's page scratch for first scan pages (its
-	// chunk's Keys/Vals live in resp). Kept last for the layout reason above.
+	// chunk's Keys/Vals live in resp).
 	scanBuf []kv.KV
 }
-
-// closeAfterFlush, queued on the out channel by a scan stream whose page
-// failed, tells the write loop to flush what is queued ahead of it and close
-// the connection.
-var closeAfterFlush []byte
-
-// maxKeptFrame caps the frames the free list keeps: a bigger one (a large
-// scan chunk or batch reply) is left to the collector, so a connection's
-// idle buffers stay within Pipeline × 32 KiB however large its replies were.
-const maxKeptFrame = 32 << 10
 
 // netConn is the subset of net.Conn the conn uses (test seam).
 type netConn interface {
@@ -112,11 +90,13 @@ func (c *conn) serve() {
 		c.nc.Close()
 		return
 	}
-	c.out = make(chan []byte, c.srv.cfg.Pipeline)
-	c.free = make(chan []byte, c.srv.cfg.Pipeline)
+	var onPeak func(int)
+	if m := c.srv.cfg.Metrics; m != nil {
+		onPeak = m.noteOutQueue
+	}
+	c.w.Init(c.nc, c.srv.cfg.Pipeline, c.srv.cfg.WriteTimeout, onPeak)
+	c.wake = make(chan struct{}, 1)
 	c.scanStop = make(chan struct{})
-	// One place per pending mutation, so a completion never blocks.
-	c.acks = make(chan *mutation, c.srv.cfg.Pipeline)
 	c.mutSlots = make(chan struct{}, c.srv.cfg.Pipeline)
 	writerDone := make(chan struct{})
 	go c.writeLoop(writerDone)
@@ -161,19 +141,17 @@ func (c *conn) serve() {
 			break
 		}
 	}
-	// Exit order matters: stop the scan streams and join them, and wait for
-	// every submitted mutation to be answered, before closing the out channel
-	// (a sender blocked on a full channel is absorbed because the write loop
-	// keeps draining until the channel closes), then join the writer so every
-	// queued response flushes before the socket closes.
+	// Exit order matters: stop and join the scan streams and wait for every
+	// submitted mutation to be answered before closing wake (nothing appends
+	// after that), then join the write loop, which flushes every response
+	// appended so far and closes the socket.
 	close(c.scanStop)
 	c.scanWg.Wait()
 	for range cap(c.mutSlots) {
 		c.mutSlots <- struct{}{} // every place back: no mutation is pending
 	}
-	close(c.out)
+	close(c.wake)
 	<-writerDone
-	c.nc.Close()
 }
 
 // readFrame reads one frame's length prefix and body into c.readBuf under
@@ -222,7 +200,7 @@ func (c *conn) decode(body []byte) *proto.Response {
 }
 
 // handshake runs the HELLO exchange every connection opens with, before the
-// write loop exists. Both the first frame and its answer travel unsealed;
+// frame writer exists. Both the first frame and its answer travel unsealed;
 // every later frame, in both directions, is sealed. It reports whether the
 // connection goes on.
 func (c *conn) handshake(br *bufio.Reader) bool {
@@ -240,7 +218,10 @@ func (c *conn) handshake(br *bufio.Reader) bool {
 		c.srv.logf("server: encode hello response: %v", err)
 		return false
 	}
-	if _, err := (writeDeadlineWriter{c.nc, c.srv.cfg.WriteTimeout}).Write(frame); err != nil || resp.Status != proto.StatusOK {
+	if wt := c.srv.cfg.WriteTimeout; wt > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(wt))
+	}
+	if _, err := c.nc.Write(frame); err != nil || resp.Status != proto.StatusOK {
 		return false
 	}
 	if m := c.srv.cfg.Metrics; m != nil {
@@ -346,7 +327,7 @@ func (c *conn) reportReadErr(err error, stage string) {
 }
 
 // handle executes (or, for a mutation, submits) c.req against the server's
-// node, books the server-side latency, and queues the response; it reports
+// node, books the server-side latency, and sends the response; it reports
 // whether the connection should go on. arrival is when the request's frame
 // finished arriving, the reference point for its propagated deadline budget.
 func (c *conn) handle(arrival time.Time) bool {
@@ -375,7 +356,7 @@ func (c *conn) handle(arrival time.Time) bool {
 	}
 	ok := c.send(resp)
 	if panicked {
-		// The response (ERR) is queued; close this one connection. The
+		// The response (ERR) is sent; close this one connection. The
 		// process, the index, and every other connection keep going.
 		return false
 	}
@@ -550,140 +531,42 @@ func batchSize(req *proto.Request) int {
 	return 1
 }
 
-// send encodes and seals resp and queues it on the out channel (see
-// enqueue). It is called by the read loop and by the goroutines of scan
-// streams that outlive their first page; each caller passes its own
-// Response.
-func (c *conn) send(resp *proto.Response) bool {
-	frame, ok := c.appendFrame(c.takeFrame(), resp)
-	if !ok {
-		return false
-	}
-	c.enqueue(frame)
-	return true
-}
-
-// enqueue queues one or more sealed frames, as one item, on the out channel,
-// blocking when the write loop is backed up (the read side of the
-// backpressure chain).
-func (c *conn) enqueue(frame []byte) {
-	if n := c.queued.Add(int64(len(frame))); c.srv.cfg.Metrics != nil {
-		c.srv.cfg.Metrics.noteOutQueue(n)
-	}
-	c.out <- frame
-}
-
-// takeFrame returns an empty frame the write loop is done with, nil when
-// the free list has none.
-func (c *conn) takeFrame() []byte {
-	select {
-	case frame := <-c.free:
-		return frame
-	default:
-		return nil
-	}
-}
-
-// appendFrame appends resp to dst as one protocol v2 frame sealed with its
-// CRC32C trailer.
-func (c *conn) appendFrame(dst []byte, resp *proto.Response) ([]byte, bool) {
-	start := len(dst)
-	dst, err := proto.AppendResponseV(dst, resp, proto.Version2)
-	if err != nil {
-		// Only reachable if the index returned an over-limit result, which
-		// the request validation rules out; treat as a connection-fatal bug.
+// send seals resps into the writer in one append, waiting while Pipeline
+// frames are pending (the read side of the backpressure chain), and wakes
+// the write loop if the append took the baton. The read loop and scan
+// streams call it, each with its own Responses. It reports false when the
+// writer failed or a response could not be encoded (an over-limit index
+// result, which request validation rules out: a connection-fatal bug).
+func (c *conn) send(resps ...*proto.Response) bool {
+	baton, err := c.w.AppendResponses(true, resps...)
+	if baton {
+		c.kick()
+	} else if err != nil && !errors.Is(err, proto.ErrWriterClosed) {
 		c.srv.logf("server: encode response: %v", err)
-		return dst[:start], false
 	}
-	return proto.SealFrame(dst, start), true
+	return err == nil
 }
 
-// writeLoop drains the out channel — and the mutations of commit.go that
-// completed after their Submit returned — into the socket through one buffered
-// writer, flushing whenever the queues momentarily empty, so pipelined
-// responses coalesce into large writes but the last response of a burst is
-// never withheld. With a WriteTimeout configured, every socket write is
-// armed with it, so a peer that stops reading cannot pin this goroutine
-// past the deadline.
+// kick wakes the write loop; a wake already pending covers this one.
+func (c *conn) kick() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is the only code that writes the socket after the handshake: it
+// flushes the writer on every wake (WriteTimeout arms each write) until
+// serve closes wake, a write fails, or quit is set. Then it closes the
+// writer, so appends fail and waiting ones wake, and the socket, which
+// unwedges the read loop.
 func (c *conn) writeLoop(done chan<- struct{}) {
 	defer close(done)
-	wt := c.srv.cfg.WriteTimeout
-	bw := bufio.NewWriterSize(writeDeadlineWriter{c.nc, wt}, 32<<10)
-	for {
-		frame, ok := c.nextFrame()
-		if !ok {
+	for range c.wake {
+		if c.w.Flush() != nil || c.quit.Load() {
 			break
 		}
-		if frame == nil { // closeAfterFlush
-			bw.Flush()
-			c.nc.Close() // unwedge the read loop
-			c.drainOut()
-			return
-		}
-		if _, err := bw.Write(frame); err != nil {
-			c.nc.Close() // unwedge the read loop too
-			c.drainOut()
-			return
-		}
-		if cap(frame) <= maxKeptFrame {
-			select {
-			case c.free <- frame[:0]:
-			default:
-			}
-		}
-		if len(c.out) == 0 && len(c.acks) == 0 {
-			if err := bw.Flush(); err != nil {
-				c.nc.Close()
-				c.drainOut()
-				return
-			}
-		}
 	}
-	bw.Flush()
-}
-
-// nextFrame waits for the next frame to write: a queued response or a late
-// mutation's ack, encoded here. It reports false once the read loop has
-// closed out.
-func (c *conn) nextFrame() ([]byte, bool) {
-	select {
-	case frame, ok := <-c.out:
-		c.queued.Add(-int64(len(frame)))
-		return frame, ok
-	case m := <-c.acks:
-		resp := c.ackResponse(m)
-		frame, _ := c.appendFrame(c.takeFrame(), &resp) // an encode failure is logged and writes nothing
-		c.acked(m)
-		return frame, true
-	}
-}
-
-// writeDeadlineWriter arms the connection's write deadline before every
-// underlying write (bufio flushes included).
-type writeDeadlineWriter struct {
-	nc netConn
-	d  time.Duration
-}
-
-func (w writeDeadlineWriter) Write(p []byte) (int, error) {
-	if w.d > 0 {
-		w.nc.SetWriteDeadline(time.Now().Add(w.d))
-	}
-	return w.nc.Write(p)
-}
-
-// drainOut keeps a failed writer from wedging the read loop on a full
-// channel, or a pending mutation on its slot: consume both queues until the
-// read loop closes out (which it does only once every mutation is through).
-func (c *conn) drainOut() {
-	for {
-		select {
-		case _, ok := <-c.out:
-			if !ok {
-				return
-			}
-		case m := <-c.acks:
-			c.acked(m)
-		}
-	}
+	c.w.Close()
+	c.nc.Close()
 }

@@ -66,7 +66,7 @@ type Metrics struct {
 	//dytis:series dytis_server_scan_chunks_total
 	scanChunks atomic.Int64 // scan chunks produced (empty final pages included)
 	//dytis:series dytis_server_out_queue_peak_bytes
-	outQueuePeak atomic.Int64 // peak bytes queued on any one conn's out channel
+	outQueuePeak atomic.Int64 // peak bytes pending in any one conn's frame writer
 
 	// Cluster counters (FeatCluster).
 
@@ -130,8 +130,10 @@ func (m *Metrics) HandoverEvents() cluster.HandoverEvents {
 	}
 }
 
-// noteOutQueue folds one observed out-channel byte depth into the peak.
-func (m *Metrics) noteOutQueue(n int64) {
+// noteOutQueue folds one connection's new peak of pending response bytes
+// into the peak over every connection.
+func (m *Metrics) noteOutQueue(bytes int) {
+	n := int64(bytes)
 	for {
 		cur := m.outQueuePeak.Load()
 		if n <= cur || m.outQueuePeak.CompareAndSwap(cur, n) {
@@ -229,8 +231,8 @@ func (m *Metrics) HandoverMirrorRetries() int64 { return m.handoverMirrorRetries
 // resumed.
 func (m *Metrics) HandoverResumes() int64 { return m.handoverResumes.Load() }
 
-// OutQueuePeakBytes returns the peak byte depth observed on any single
-// connection's outbound response queue — the number that proves a streamed
+// OutQueuePeakBytes returns the peak of response bytes pending in any single
+// connection's frame writer (sealed, not yet taken by a write) — the number that proves a streamed
 // scan's server-side buffering stays bounded by the credit window instead of
 // marshaling the whole result.
 func (m *Metrics) OutQueuePeakBytes() int64 { return m.outQueuePeak.Load() }

@@ -2,23 +2,23 @@ package server
 
 // Streaming scans, the protocol's one scan path. The read loop serves an
 // OpScanStart's first page itself, as it serves a GetBatch: it scans into
-// connection scratch and queues the page's OpScanChunk — followed, when that
-// page ends the stream, by the OpScanEnd in the same out item. A scan that
+// connection scratch and sends the page's OpScanChunk — followed, when that
+// page ends the stream, by the OpScanEnd in the same append. A scan that
 // fits its first page therefore costs no goroutine, no stream-table entry
 // and no allocation. Only a stream that outlives its first page is
-// registered and handed to a goroutine (run), which pages on and pushes the
-// remaining chunks into the connection's out channel, ending with
-// OpScanEnd. Both run one page function, scanPage. Two mechanisms bound a
-// stream's memory and its claim on the connection:
+// registered and handed to a goroutine (run), which pages on and sends the
+// remaining chunks, ending with OpScanEnd. Both run one page function,
+// scanPage. Two mechanisms bound a stream's memory and its claim on the
+// connection:
 //
 //   - Credits: the server sends at most `credits` chunks ahead of what the
 //     client has consumed (the first page spends one); the client grants one
 //     credit back per consumed chunk (OpScanCredit). A stalled consumer
 //     therefore parks the stream with nothing buffered beyond its window,
 //     while the connection's other pipelined traffic keeps flowing.
-//   - The shared out channel: chunks interleave with ordinary responses and
-//     inherit the same write-loop backpressure, so a scan can never queue
-//     more than the channel bound even if the client grants a huge window.
+//   - The shared writer: chunks interleave with ordinary responses and wait
+//     for room like them, so a scan can never queue more than the Pipeline
+//     bound even if the client grants a huge window.
 //
 // Each page of index work briefly takes an admission-control slot (when
 // MaxInflight is configured), so N streams cannot out-compete point reads
@@ -93,21 +93,17 @@ func (c *conn) handleScanStart(arrival time.Time) bool {
 		return c.shed(st, resp)
 	}
 	cur := scanCursor{id: req.ID, next: req.Key, max: req.ScanMax, chunk: int(req.Max), epoch: req.Epoch}
-	frame, done, ok := c.scanPage(&cur, &c.scanBuf, resp)
-	// Scratch a big page grew is dropped, as the write loop drops big
-	// frames, so one MaxScan page does not pin memory for the connection's
-	// lifetime.
-	if cap(c.scanBuf) > maxKeptFrame/16 {
+	done, ok := c.scanPage(&cur, &c.scanBuf, resp)
+	// Scratch past half a kept buffer is dropped, as the writer drops big
+	// buffers, so one MaxScan page does not pin memory for good.
+	if cap(c.scanBuf) > proto.MaxKeptBuf/32 {
 		c.scanBuf = nil
 	}
-	if cap(resp.Keys) > maxKeptFrame/8 {
+	if cap(resp.Keys) > proto.MaxKeptBuf/16 {
 		resp.Keys = nil
 	}
-	if cap(resp.Vals) > maxKeptFrame/8 {
+	if cap(resp.Vals) > proto.MaxKeptBuf/16 {
 		resp.Vals = nil
-	}
-	if len(frame) > 0 {
-		c.enqueue(frame)
 	}
 	if !ok || done {
 		return ok
@@ -228,7 +224,7 @@ func (s *scanStream) run() {
 		case takeCancelled:
 			return
 		case takeStopped:
-			s.end(proto.StatusShuttingDown, "server draining")
+			c.sendEnd(&s.cur, nil, proto.StatusShuttingDown, "server draining")
 			return
 		}
 		// One admission slot per page (not per stream): a scan competes for
@@ -239,18 +235,16 @@ func (s *scanStream) run() {
 			case <-s.cancel:
 				return
 			case <-c.scanStop:
-				s.end(proto.StatusShuttingDown, "server draining")
+				c.sendEnd(&s.cur, nil, proto.StatusShuttingDown, "server draining")
 				return
 			}
 		}
-		frame, done, ok := c.scanPage(&s.cur, &buf, &resp)
-		if len(frame) > 0 {
-			c.enqueue(frame)
-		}
+		done, ok := c.scanPage(&s.cur, &buf, &resp)
 		if !ok {
 			// A panic in the page or an encode bug: end this one connection
-			// once everything queued so far, the end included, is written.
-			c.out <- closeAfterFlush
+			// once everything appended so far, the end included, is written.
+			c.quit.Store(true)
+			c.kick()
 			return
 		}
 		if done {
@@ -261,26 +255,25 @@ func (s *scanStream) run() {
 
 // scanPage runs one page of the stream at cur: the one page function of the
 // read loop (a stream's first page) and of run (every later one). It scans
-// the node from cur.next into *buf, books the page's metrics, advances cur,
-// and returns the page's out item: the sealed OpScanChunk, followed by the
-// sealed OpScanEnd when the page ends the stream (done). resp is the
-// caller's scratch for the chunk.
+// the node from cur.next into *buf (resp is the chunk's scratch), books the
+// page's metrics, advances cur, and sends the OpScanChunk, followed by the
+// OpScanEnd in the same append when the page ends the stream (done).
 //
 // The caller holds an admission slot when MaxInflight is configured;
-// scanPage releases it once the node is done. A panic below (index bug) is
-// contained as execute contains one: the item is then an OpScanEnd with
+// scanIndex releases it once the node is done. A panic below (index bug) is
+// contained as execute contains one: the page is then an OpScanEnd with
 // StatusErr, and ok false tells the caller to close this one connection, as
-// it does after an encode failure (no item).
-func (c *conn) scanPage(cur *scanCursor, buf *[]kv.KV, resp *proto.Response) (frame []byte, done, ok bool) {
+// a failed send does.
+func (c *conn) scanPage(cur *scanCursor, buf *[]kv.KV, resp *proto.Response) (done, ok bool) {
 	m := c.srv.cfg.Metrics
-	frame = c.takeFrame()
 	defer func() {
 		if r := recover(); r != nil {
 			if m != nil {
 				m.panicRecovered()
 			}
 			c.srv.logf("server: panic in scan stream %d from %s: %v\n%s", cur.id, c.raddr, r, debug.Stack())
-			frame, done, ok = c.appendEnd(frame[:0], cur, proto.StatusErr, "internal error"), true, false
+			done, ok = true, false
+			c.sendEnd(cur, nil, proto.StatusErr, "internal error")
 		}
 	}()
 
@@ -305,7 +298,7 @@ func (c *conn) scanPage(cur *scanCursor, buf *[]kv.KV, resp *proto.Response) (fr
 		if m != nil {
 			m.wrongShard()
 		}
-		return c.appendEnd(frame, cur, proto.StatusWrongShard, err.Error()), true, true
+		return true, c.sendEnd(cur, nil, proto.StatusWrongShard, err.Error())
 	}
 	cur.delivered += uint64(len(pairs))
 	if m != nil {
@@ -318,18 +311,15 @@ func (c *conn) scanPage(cur *scanCursor, buf *[]kv.KV, resp *proto.Response) (fr
 			resp.Keys = append(resp.Keys, p.Key)
 			resp.Vals = append(resp.Vals, p.Value)
 		}
-		if frame, ok = c.appendFrame(frame, resp); !ok {
-			return nil, true, false
-		}
 	}
-	done = rangeDone || (cur.max > 0 && cur.delivered >= cur.max)
-	if !done {
-		cur.next = pairs[len(pairs)-1].Key + 1
+	if !rangeDone && (cur.max == 0 || cur.delivered < cur.max) {
+		cur.next = pairs[len(pairs)-1].Key + 1 // only a page that ends the stream can be empty
+		return false, c.send(resp)
 	}
-	if done {
-		frame = c.appendEnd(frame, cur, proto.StatusOK, "")
+	if len(pairs) == 0 {
+		resp = nil
 	}
-	return frame, done, true
+	return true, c.sendEnd(cur, resp, proto.StatusOK, "")
 }
 
 // scanIndex reads one page of up to page pairs from cur.next into dst,
@@ -344,20 +334,17 @@ func (c *conn) scanIndex(cur *scanCursor, page int, dst []kv.KV) (_ []kv.KV, ran
 	return c.srv.node.Scan(cur.epoch, cur.next, page, dst)
 }
 
-// appendEnd appends the stream's sealed OpScanEnd frame to dst. The total
-// only travels on StatusOK (error responses carry just the message); a
-// wrong-shard end attaches the node's current map so the client can re-route
-// without an extra round trip.
-func (c *conn) appendEnd(dst []byte, cur *scanCursor, st proto.Status, msg string) []byte {
+// sendEnd sends the stream's OpScanEnd, after chunk in the same append when
+// chunk is non-nil. The total only travels on StatusOK (error responses
+// carry just the message); a wrong-shard end attaches the node's current map
+// so the client can re-route without an extra round trip.
+func (c *conn) sendEnd(cur *scanCursor, chunk *proto.Response, st proto.Status, msg string) bool {
 	end := proto.Response{ID: cur.id, Op: proto.OpScanEnd, Status: st, Msg: msg, Val: cur.delivered}
 	if st == proto.StatusWrongShard {
 		end.MapBlob = c.srv.node.MapBlob()
 	}
-	dst, _ = c.appendFrame(dst, &end)
-	return dst
-}
-
-// end queues the stream's OpScanEnd on its own, for an end no page produced.
-func (s *scanStream) end(st proto.Status, msg string) {
-	s.c.enqueue(s.c.appendEnd(s.c.takeFrame(), &s.cur, st, msg))
+	if chunk == nil {
+		return c.send(&end)
+	}
+	return c.send(chunk, &end)
 }

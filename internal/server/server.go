@@ -9,7 +9,7 @@
 //
 // Concurrency model, per connection:
 //
-//	read loop ──decode──► handle (node op) ──encode──► out chan ──► write loop
+//	read loop ──decode──► handle (node op) ──seal──► frame writer ──wake──► write loop ──► socket
 //
 // A node op is a data operation served through the server's one
 // cluster.Node: a shard server's (Config.Cluster) or, on a standalone
@@ -19,21 +19,27 @@
 //
 // The read loop decodes and executes requests back-to-back without waiting
 // for the client to consume responses — that is what makes client-side
-// pipelining effective — and hands each encoded response to the write loop
-// over a bounded channel. The chain is self-throttling end to end: a client
-// that stops reading stalls the write loop on TCP, which fills the out
-// channel, which blocks the read loop, which fills the client's send window.
-// No per-connection buffering grows beyond the channel's Pipeline frames.
+// pipelining effective — and seals each response into the connection's
+// frame writer (proto.Writer, the one the client sends through too). The
+// append that finds no flush owed wakes the write loop through a one-slot
+// channel; the write loop is the only code that writes the socket after the
+// handshake, and each of its writes takes every response sealed meanwhile.
+// The chain is self-throttling end to end: a client that stops reading
+// stalls the write loop on TCP, so Pipeline frames pile up in the writer,
+// which blocks the read loop (and every scan stream) before its next
+// append, which fills the client's send window. No per-connection buffering
+// grows beyond Pipeline frames pending plus the one write in flight.
 //
 // Every mutation is submitted to the node (commit.go). Over a backend whose
 // mutations commit in groups (the durable wal.Store adapter) it leaves the
-// read loop early and its response joins the write loop late, so the read
-// loop never waits out an fsync and responses complete out of order: a read
-// overtakes the ack of a write sent before it. The ordering
+// read loop early and its completion seals the ack into the writer late, so
+// the read loop never waits out an fsync and responses complete out of
+// order: a read overtakes the ack of a write sent before it. The ordering
 // rule is: the mutations of one connection apply in arrival order; a request
 // sent after a response was received observes that response's effect;
-// nothing else is ordered. Pending mutations count against the same Pipeline
-// bound, so the chain above stays self-throttling (see commit.go).
+// nothing else is ordered. A completion never waits for room; pending
+// mutations are bounded by Pipeline, and the read loop waits for room after
+// submitting one, so the chain above stays self-throttling (see commit.go).
 //
 // Because every index operation a connection issues starts on that
 // connection's read-loop goroutine, the server is exactly the multi-client
@@ -88,8 +94,10 @@ type Config struct {
 	// cap, further clients queue in the kernel accept backlog instead of
 	// being accepted and starved — backpressure, not load shedding.
 	MaxConns int
-	// Pipeline is the per-connection bound on encoded responses queued
-	// between the read and write loops (default 128).
+	// Pipeline is the per-connection bound on response frames sealed and
+	// not yet taken by a write: the read loop and scan streams wait for room
+	// below it before they append (default 128). It also bounds the
+	// mutations a connection has pending.
 	Pipeline int
 	// Metrics, when non-nil, records server-side per-opcode latencies and
 	// connection counters (see metrics.go).
@@ -114,8 +122,9 @@ type Config struct {
 	// byte is reaped after ReadTimeout while other connections keep
 	// serving. Zero disables it.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each write of queued response bytes to the
-	// socket. Zero disables it.
+	// WriteTimeout bounds each write of pending response frames to the
+	// socket; the write loop arms it once per write. A write that times out
+	// closes the connection. Zero disables it.
 	WriteTimeout time.Duration
 
 	// MaxInflight caps requests executing concurrently across all
