@@ -26,7 +26,7 @@ import (
 )
 
 var (
-	expFlag      = flag.String("exp", "fig8", "experiment: table1|fig8|fig9|fig10|fig11|fig12|table2|mem|params|breakdown|ablation|pgmcmp|net|recover|cluster|all")
+	expFlag      = flag.String("exp", "fig8", "experiment: table1|fig8|fig9|fig10|fig11|fig12|table2|mem|params|breakdown|ablation|pgmcmp|all")
 	scaleFlag    = flag.Float64("scale", 0.001, "dataset scale relative to the paper (1.0 = paper size)")
 	opsFlag      = flag.Int("ops", 0, "measured ops per workload (0 = half the dataset)")
 	seedFlag     = flag.Int64("seed", 1, "dataset + workload seed")
@@ -65,8 +65,7 @@ func main() {
 		"table1": table1, "fig8": fig8, "fig9": fig9, "fig10": fig10,
 		"fig11": fig11, "fig12": fig12, "table2": table2, "mem": memExp,
 		"params": params, "breakdown": breakdown, "ablation": ablation,
-		"pgmcmp": pgmcmp, "net": netExp,
-		"recover": recoverExp, "cluster": clusterExp,
+		"pgmcmp": pgmcmp,
 	}
 	if *expFlag == "all" {
 		for _, name := range []string{"table1", "fig8", "fig9", "fig10", "fig11",

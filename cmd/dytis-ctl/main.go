@@ -31,6 +31,14 @@
 //	    Abandon the handover on the source server at -abort, scrubbing the
 //	    partial copy from its target. The shard map is untouched.
 //
+//	dytis-ctl check -addr :7070 -keys 65536
+//	dytis-ctl check -seed :7071 -keys 131072
+//	    Smoke-test a standalone server (-addr) or a cluster (-seed): load
+//	    -keys keys with InsertBatch from 4 goroutines, read each back with
+//	    GetBatch (and a sample with Get), compare Len, and run one full
+//	    streamed scan that must return exactly those pairs in ascending
+//	    order. A failure names its phase: load, read, len or scan.
+//
 // Every command exits 0 on success, 1 on failure, with errors on stderr.
 package main
 
@@ -63,6 +71,8 @@ func main() {
 		err = cmdStatus(args)
 	case "rebalance":
 		err = cmdRebalance(args)
+	case "check":
+		err = cmdCheck(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -86,7 +96,8 @@ commands:
   status     -addrs a,b,c [-timeout d]        print each server's shard state
   rebalance  -seed addr -lo k -hi k -to addr  live-move [lo, hi] to another server
   rebalance  -seed addr -resume addr          resume a suspended handover through cutover
-  rebalance  -seed addr -abort addr           abandon a handover, scrubbing its target`)
+  rebalance  -seed addr -abort addr           abandon a handover, scrubbing its target
+  check      -addr addr | -seed addr [-keys n] load, read back, count and scan n keys`)
 }
 
 // withTimeout attaches the -timeout flag's budget to a fresh context.

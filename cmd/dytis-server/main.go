@@ -1,13 +1,13 @@
 // Command dytis-server serves a DyTIS index over TCP with the pipelined
 // binary protocol of internal/proto. It is the network face of the
-// reproduction: a concurrent index (optimistic lock-free reads by default)
+// reproduction: a concurrent index (optimistic lock-free reads)
 // behind per-connection read/write goroutines, batched opcodes, connection
 // limits with accept-side backpressure, and graceful drain on
 // SIGINT/SIGTERM.
 //
 // Usage:
 //
-//	dytis-server -addr :7070 -metrics :8080 -mode optimistic
+//	dytis-server -addr :7070 -metrics :8080
 //	dytis-server -addr :7070 -wal-dir /var/lib/dytis -fsync always
 //
 // With -wal-dir the server is durable: every mutation is write-ahead
@@ -21,9 +21,6 @@
 // latency metrics on one /metrics page (Prometheus text format; expvar
 // JSON at /debug/vars), plus a /healthz readiness probe that answers 200
 // while the server accepts work and 503 once it is draining.
-//
-//	-mode optimistic   concurrent index, lock-free Get / snapshot Scan (default)
-//	-mode locked       concurrent index, fully locked §3.4 read path
 //
 // Overload hardening is flag-controlled: -idle-timeout, -read-timeout, and
 // -write-timeout bound slow or stalled peers (the read timeout is the
@@ -60,7 +57,6 @@ import (
 var (
 	addrFlag    = flag.String("addr", ":7070", "TCP listen address for the binary protocol")
 	metricsFlag = flag.String("metrics", "", "HTTP listen address for /metrics and /debug/vars (empty = disabled)")
-	modeFlag    = flag.String("mode", "optimistic", "concurrency mode: optimistic|locked")
 	maxConns    = flag.Int("max-conns", 256, "simultaneous connection cap (excess clients wait in the accept backlog)")
 	pipeline    = flag.Int("pipeline", 128, "per-connection response queue depth")
 
@@ -85,14 +81,6 @@ func main() {
 
 	ob := dytis.NewObserver()
 	idxOpts := []dytis.Option{dytis.WithConcurrent(), dytis.WithObserver(ob)}
-	switch *modeFlag {
-	case "optimistic":
-	case "locked":
-		idxOpts = append(idxOpts, dytis.WithLockedReads())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -mode %q (want optimistic or locked)\n", *modeFlag)
-		os.Exit(2)
-	}
 	// With -wal-dir the served index is a durable store: mutations are
 	// write-ahead logged in commit groups and acked on completion, with or
 	// without -shard (a log failure answers StatusErr on the request and
@@ -203,7 +191,7 @@ func main() {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Printf("dytis-server (%s reads) listening on %s\n", *modeFlag, ln.Addr())
+	fmt.Printf("dytis-server listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-serveErr:

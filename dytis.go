@@ -89,7 +89,3 @@ func New(opts ...Option) *Index {
 	}
 	return idx
 }
-
-// NewDefault creates an empty single-threaded index with the paper's
-// default parameters. Equivalent to New() with no options.
-func NewDefault() *Index { return New() }

@@ -71,8 +71,8 @@ type groupProbe struct {
 // tryGet's seqlock window — its version is read before any of its probe
 // loads and re-checked after all of them; the window is only longer. A key
 // whose version was odd or moved, and every key the optimistic path does not
-// serve (single-threaded mode, DisableOptimisticReads, race builds), is
-// answered by eh.get: optimistic retries, then the §3.4 locked path.
+// serve (single-threaded mode, race builds), is answered by eh.get:
+// optimistic retries, then the §3.4 locked path.
 //
 //dytis:seqlocked
 func (d *DyTIS) getGroup(keys []uint64, vals []uint64, found []bool) ([]uint64, []bool) {
@@ -82,7 +82,7 @@ func (d *DyTIS) getGroup(keys []uint64, vals []uint64, found []bool) ([]uint64, 
 	for i, k := range keys {
 		e := d.ehOf(k)
 		g[i].e = e
-		if e.conc && !e.noOpt && !raceEnabled {
+		if e.conc && !raceEnabled {
 			sn := e.snap.Load()
 			g[i].s = sn.dir[sn.index(k, e.base, e.suffixBits)]
 		}

@@ -67,13 +67,13 @@ func benchGet(b *testing.B, keys []uint64) {
 func BenchmarkGetUniform(b *testing.B)   { benchGet(b, benchKeysUniform(400000)) }
 func BenchmarkGetClustered(b *testing.B) { benchGet(b, benchKeysClustered(400000)) }
 
-// benchGetParallel measures Concurrent-mode point-lookup throughput with all
-// goroutines reading a quiescent index: the optimistic/locked pair isolates
-// what the seqlock-validated lock-free probe buys over the §3.4 two-level
-// locked read (run with -cpu=8 for the recorded configuration).
-func benchGetParallel(b *testing.B, disableOptimistic bool) {
+// BenchmarkGetParallelOptimistic measures Concurrent-mode point-lookup
+// throughput with all goroutines reading a quiescent index through the
+// seqlock-validated lock-free probe (run with -cpu=8 for the recorded
+// configuration).
+func BenchmarkGetParallelOptimistic(b *testing.B) {
 	keys := benchKeysUniform(400000)
-	d := New(Options{Concurrent: true, DisableOptimisticReads: disableOptimistic})
+	d := New(Options{Concurrent: true})
 	for _, k := range keys {
 		d.Insert(k, k)
 	}
@@ -89,9 +89,6 @@ func benchGetParallel(b *testing.B, disableOptimistic bool) {
 		}
 	})
 }
-
-func BenchmarkGetParallelOptimistic(b *testing.B) { benchGetParallel(b, false) }
-func BenchmarkGetParallelLocked(b *testing.B)     { benchGetParallel(b, true) }
 
 func BenchmarkScan100(b *testing.B) {
 	keys := benchKeysUniform(400000)

@@ -153,59 +153,54 @@ func TestConcurrentDisjointRangesLinearizable(t *testing.T) {
 }
 
 // TestConcurrentGetDuringSplits hammers point lookups on a stable key
-// population while writers force splits in the same segments, in both the
-// optimistic configuration and the locked fallback (DisableOptimisticReads):
-// every Get of a pre-existing key must return its value, whether the lookup
-// validated against the seqlock, retried around a retirement, or fell back
-// to the locked path.
+// population while writers force splits in the same segments: every Get of
+// a pre-existing key must return its value, whether the lookup validated
+// against the seqlock, retried around a retirement, or fell back to the
+// locked path. Reads run optimistically; the locked path is reached only as
+// that path's fallback.
 func TestConcurrentGetDuringSplits(t *testing.T) {
-	for _, cfg := range []struct {
-		name  string
-		noOpt bool
-	}{{"optimistic", false}, {"locked", true}} {
-		t.Run(cfg.name, func(t *testing.T) {
-			o := concOpts()
-			o.DisableOptimisticReads = cfg.noOpt
-			d := core.New(o)
-			const stable = 20000
-			for i := uint64(0); i < stable; i++ {
-				d.Insert(i*797, i)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w) * 53))
-					for i := 0; i < 20000; i++ {
-						// Land between the stable keys so splits keep firing
-						// without ever touching a stable key's value.
-						k := uint64(rng.Intn(stable))*797 + uint64(1+rng.Intn(796))
-						d.Insert(k, k)
-					}
-				}(w)
-			}
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(r) * 97))
-					for i := 0; i < 30000; i++ {
-						want := uint64(rng.Intn(stable))
-						if v, ok := d.Get(want * 797); !ok || v != want {
-							t.Errorf("Get(%#x) = %d,%v want %d", want*797, v, ok, want)
-							return
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			requireSound(t, d)
-		})
+	t.Run("optimistic", getDuringSplits)
+}
+
+func getDuringSplits(t *testing.T) {
+	d := core.New(concOpts())
+	const stable = 20000
+	for i := uint64(0); i < stable; i++ {
+		d.Insert(i*797, i)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) * 53))
+			for i := 0; i < 20000; i++ {
+				// Land between the stable keys so splits keep firing
+				// without ever touching a stable key's value.
+				k := uint64(rng.Intn(stable))*797 + uint64(1+rng.Intn(796))
+				d.Insert(k, k)
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r) * 97))
+			for i := 0; i < 30000; i++ {
+				want := uint64(rng.Intn(stable))
+				if v, ok := d.Get(want * 797); !ok || v != want {
+					t.Errorf("Get(%#x) = %d,%v want %d", want*797, v, ok, want)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	requireSound(t, d)
 }
 
 // TestConcurrentScanAcrossEHSplits races scans that cross first-level EH

@@ -48,10 +48,6 @@ func New(opts Options) *DyTIS {
 	return d
 }
 
-// NewDefault creates a DyTIS index with the paper's default parameters
-// (single-threaded).
-func NewDefault() *DyTIS { return New(Options{}) }
-
 func (d *DyTIS) ehOf(k uint64) *eh { return d.ehs[k>>d.suffixBits] }
 
 // mustOpen panics when the index is closed: the legacy mutation paths have

@@ -507,7 +507,7 @@ func TestPlaceSortedNeverOverflows(t *testing.T) {
 }
 
 func TestDefaultOptionsWork(t *testing.T) {
-	d := NewDefault()
+	d := New(Options{})
 	for i := uint64(0); i < 100000; i++ {
 		d.Insert(i<<30, i)
 	}

@@ -32,7 +32,6 @@ type eh struct {
 	base       uint64 // first key of this EH's range
 	idx        int    // first-level table index (base >> suffixBits)
 	obs        Observer
-	noOpt      bool // cached Options.DisableOptimisticReads
 
 	dir []*segment // guarded-by: mu
 	gd  uint8      // guarded-by: mu
@@ -89,7 +88,6 @@ func newEH(base uint64, suffixBits uint8, opts *Options) *eh {
 		obs:        opts.Observer,
 		gd:         0,
 	}
-	e.noOpt = opts.DisableOptimisticReads
 	e.limitMult.Store(int32(opts.SegLimitMult))
 	root := newSegment(0, suffixBits, base, 1, opts.BucketEntries, 0)
 	e.dir = []*segment{root}
@@ -176,13 +174,11 @@ func (e *eh) get(k uint64) (uint64, bool) {
 	if !e.conc {
 		return e.getSeq(k)
 	}
-	if !e.noOpt {
-		for attempt := 0; attempt < optimisticRetries; attempt++ {
-			sn := e.snap.Load()
-			s := sn.dir[sn.index(k, e.base, e.suffixBits)]
-			if v, ok, valid := s.tryGet(k); valid {
-				return v, ok
-			}
+	for attempt := 0; attempt < optimisticRetries; attempt++ {
+		sn := e.snap.Load()
+		s := sn.dir[sn.index(k, e.base, e.suffixBits)]
+		if v, ok, valid := s.tryGet(k); valid {
+			return v, ok
 		}
 	}
 	return e.getLocked(k)
@@ -199,8 +195,7 @@ func (e *eh) getSeq(k uint64) (uint64, bool) {
 
 // getLocked is the §3.4 two-level locked read: resolve the directory under
 // the EH read lock, probe under the segment read lock. It is the fallback
-// for optimistic conflicts and the whole read path under
-// DisableOptimisticReads. Concurrent mode only.
+// for optimistic conflicts. Concurrent mode only.
 func (e *eh) getLocked(k uint64) (uint64, bool) {
 	e.mu.RLock()
 	s := e.dir[e.dirIndex(k)]

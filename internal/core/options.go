@@ -80,10 +80,6 @@ type Options struct {
 	DisableAdaptiveLimit bool
 	// DisableRefinement stops remapping from subdividing sub-ranges.
 	DisableRefinement bool
-	// DisableOptimisticReads forces Concurrent-mode Get back onto the §3.4
-	// two-level locked read path, bypassing the seqlock-validated lock-free
-	// probe. Used by the read-throughput benchmarks as the locked baseline.
-	DisableOptimisticReads bool
 }
 
 // withDefaults returns a copy of o with zero fields replaced by defaults.

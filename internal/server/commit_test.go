@@ -117,19 +117,31 @@ func TestDurableReadOvertakesWriteAck(t *testing.T) {
 }
 
 // heldConn is a server-side connection whose writes after the handshake's
-// answer park while held.
+// answer park while held. Close ends a parked write with net.ErrClosed, so
+// a test that fails before releasing the hold still lets the server drain.
 type heldConn struct {
 	net.Conn
 	held      chan struct{} // closed to let writes through
-	handshook bool          // the HELLO answer has gone out
+	closed    chan struct{} // closed by Close
+	closeOnce sync.Once
+	handshook bool // the HELLO answer has gone out
 }
 
 func (c *heldConn) Write(p []byte) (int, error) {
 	if c.handshook {
-		<-c.held
+		select {
+		case <-c.held:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
 	}
 	c.handshook = true
 	return c.Conn.Write(p)
+}
+
+func (c *heldConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }
 
 // TestDurableSlowConnDoesNotDelayCommits: a connection that has stopped
@@ -145,7 +157,7 @@ func TestDurableSlowConnDoesNotDelayCommits(t *testing.T) {
 		Pipeline: pipeline,
 		WrapConn: func(nc net.Conn) net.Conn {
 			wrapped := nc
-			first.Do(func() { wrapped = &heldConn{Conn: nc, held: held} }) // the first connection accepted is the slow one
+			first.Do(func() { wrapped = &heldConn{Conn: nc, held: held, closed: make(chan struct{})} }) // the first connection accepted is the slow one
 			return wrapped
 		},
 	}

@@ -19,14 +19,6 @@ func WithConcurrent() Option {
 	return func(o *core.Options) { o.Concurrent = true }
 }
 
-// WithLockedReads forces Concurrent-mode reads back onto the fully locked
-// §3.4 path, disabling the optimistic lock-free Get and snapshot-resolved
-// Scan. It exists as the benchmark baseline for the optimistic path and as
-// a conservative fallback; it has no effect without WithConcurrent.
-func WithLockedReads() Option {
-	return func(o *core.Options) { o.DisableOptimisticReads = true }
-}
-
 // WithFirstLevelBits sets R, the number of key MSBs selecting the
 // first-level EH table (2^R tables; default 9, capped at 16).
 func WithFirstLevelBits(r int) Option {
