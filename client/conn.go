@@ -215,7 +215,7 @@ func (cc *clientConn) readLoop() {
 		// Decoded from zero every time: the previous response's slices
 		// belong to whoever received it.
 		resp = proto.Response{}
-		if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
+		if err := proto.DecodeResponse(body, &resp); err != nil {
 			cc.fail(fmt.Errorf("client: protocol error: %w", err))
 			return
 		}
@@ -256,7 +256,7 @@ func (cc *clientConn) readLoop() {
 			proto.OpShardInfo, proto.OpMapGet, proto.OpMapSet,
 			proto.OpHandoverStart, proto.OpHandoverStatus,
 			proto.OpHandoverResume, proto.OpHandoverAbort,
-			proto.OpImportStart, proto.OpImportBatch, proto.OpImportEnd,
+			proto.OpImportBatch, proto.OpImportEnd,
 			proto.OpImportResume, proto.OpMirror:
 			cc.mu.Lock()
 			ch := cc.waiters[resp.ID]

@@ -452,7 +452,7 @@ func readFakeRequest(br *bufio.Reader, hello bool, req *proto.Request) bool {
 // fakeFrame encodes a fake server's response, sealed unless it answers the
 // HELLO.
 func fakeFrame(resp *proto.Response, sealed bool) []byte {
-	frame, _ := proto.AppendResponseV(nil, resp, proto.Version2)
+	frame, _ := proto.AppendResponse(nil, resp)
 	if sealed {
 		frame = proto.SealFrame(frame, 0)
 	}

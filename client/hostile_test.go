@@ -109,7 +109,7 @@ func okResponse(t *testing.T, req *proto.Request) []byte {
 	if req.Op == proto.OpGet {
 		resp.Val, resp.Found = req.Key, true // echo: the key IS the value
 	}
-	frame, err := proto.AppendResponseV(nil, resp, proto.Version2)
+	frame, err := proto.AppendResponse(nil, resp)
 	if err != nil {
 		t.Errorf("encode response: %v", err)
 	}

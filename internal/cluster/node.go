@@ -641,17 +641,6 @@ func (n *Node) scrub(lo, hi uint64) error {
 
 // --- handover: target side --------------------------------------------------
 
-// ImportStart opens an import session for [lo, hi], which must be disjoint
-// from the owned range (a handover moves keys this node does not have),
-// and fails if one is already open.
-func (n *Node) ImportStart(lo, hi uint64) error {
-	fresh, _, err := n.ImportResume(lo, hi)
-	if err == nil && !fresh {
-		err = fmt.Errorf("cluster: import of [%#x, %#x] already in progress", lo, hi)
-	}
-	return err
-}
-
 // ImportResume opens this node's import session for a handover source,
 // or reattaches the source to it after the peer link dropped. A session
 // for exactly [lo, hi] answers fresh=false with its progress; no session

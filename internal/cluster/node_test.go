@@ -573,14 +573,20 @@ func TestHandoverConcurrentTraffic(t *testing.T) {
 	}
 }
 
+// openImport opens a fresh import session for [lo, hi] on n.
+func openImport(t *testing.T, n *Node, lo, hi uint64) {
+	t.Helper()
+	if fresh, _, err := n.ImportResume(lo, hi); err != nil || !fresh {
+		t.Fatalf("ImportResume(%d, %d) = fresh %v, %v; want a fresh session", lo, hi, fresh, err)
+	}
+}
+
 // TestImportTombstones pins the resurrection hazard: a mirrored delete
 // must survive a late bulk page carrying the key's old value.
 func TestImportTombstones(t *testing.T) {
 	idx := newFakeIndex()
 	n := mustNode(t, idx, 1, 0, nil)
-	if err := n.ImportStart(100, 199); err != nil {
-		t.Fatal(err)
-	}
+	openImport(t, n, 100, 199)
 	// Mirror order: insert 150=5, delete 150, then the stale bulk page.
 	if err := n.MirrorApply(false, 150, 5); err != nil {
 		t.Fatal(err)
@@ -616,9 +622,7 @@ func TestImportTombstones(t *testing.T) {
 func TestImportAbortScrubs(t *testing.T) {
 	idx := newFakeIndex()
 	n := mustNode(t, idx, 1, 0, nil)
-	if err := n.ImportStart(0, 99); err != nil {
-		t.Fatal(err)
-	}
+	openImport(t, n, 0, 99)
 	if _, err := n.ImportBatch([]uint64{1, 2, 3}, []uint64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -636,19 +640,20 @@ func TestImportAbortScrubs(t *testing.T) {
 
 func TestImportValidation(t *testing.T) {
 	n := mustNode(t, newFakeIndex(), 0, 999, nil)
-	if err := n.ImportStart(500, 1500); err == nil {
+	if _, _, err := n.ImportResume(500, 1500); err == nil {
 		t.Error("import overlapping owned range accepted")
 	}
-	if err := n.ImportStart(9, 5); err == nil {
+	if _, _, err := n.ImportResume(9, 5); err == nil {
 		t.Error("inverted import range accepted")
 	}
 	if _, err := n.ImportBatch([]uint64{1}, []uint64{1}); err == nil {
 		t.Error("import batch with no session accepted")
 	}
-	if err := n.ImportStart(2000, 2999); err != nil {
-		t.Fatal(err)
+	openImport(t, n, 2000, 2999)
+	if fresh, _, err := n.ImportResume(2000, 2999); err != nil || fresh {
+		t.Errorf("reopening the session's range = fresh %v, %v; want it reattached", fresh, err)
 	}
-	if err := n.ImportStart(3000, 3999); err == nil {
+	if _, _, err := n.ImportResume(3000, 3999); err == nil {
 		t.Error("second concurrent import session accepted")
 	}
 	if _, err := n.ImportBatch([]uint64{1}, []uint64{1}); err == nil {

@@ -193,9 +193,7 @@ func TestNodeSubmitMovingRangeMirrored(t *testing.T) {
 func TestImportBatchFailsClosed(t *testing.T) {
 	idx := newFakeIndex()
 	n := mustNode(t, idx, 1, 0, nil)
-	if err := n.ImportStart(100, 199); err != nil {
-		t.Fatal(err)
-	}
+	openImport(t, n, 100, 199)
 	applied, err := n.ImportBatch([]uint64{100, 101, 500}, []uint64{1, 2, 3})
 	if err == nil || applied != 0 {
 		t.Fatalf("page with a stray key: applied %d, err %v; want 0 and an error", applied, err)

@@ -254,9 +254,7 @@ func TestNodeWALPoisonedStore(t *testing.T) {
 
 	t.Run("ImportBatch", func(t *testing.T) {
 		w := newWALSide(t, 1, 0, nil)
-		if err := w.node.ImportStart(100, 199); err != nil {
-			t.Fatal(err)
-		}
+		openImport(t, w.node, 100, 199)
 		w.poison.Store(true)
 		applied, err := w.node.ImportBatch([]uint64{100, 101}, []uint64{1, 2})
 		failed(t, "ImportBatch", err)
@@ -267,9 +265,7 @@ func TestNodeWALPoisonedStore(t *testing.T) {
 
 	t.Run("ImportEndAbort", func(t *testing.T) {
 		w := newWALSide(t, 1, 0, nil)
-		if err := w.node.ImportStart(100, 199); err != nil {
-			t.Fatal(err)
-		}
+		openImport(t, w.node, 100, 199)
 		if _, err := w.node.ImportBatch([]uint64{100, 101}, []uint64{1, 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -279,9 +275,7 @@ func TestNodeWALPoisonedStore(t *testing.T) {
 
 	t.Run("MirrorApply", func(t *testing.T) {
 		w := newWALSide(t, 0, 99, nil)
-		if err := w.node.ImportStart(100, 199); err != nil {
-			t.Fatal(err)
-		}
+		openImport(t, w.node, 100, 199)
 		w.poison.Store(true)
 		failed(t, "MirrorApply into the import", w.node.MirrorApply(false, 150, 1))
 		failed(t, "MirrorApply on an owned key", w.node.MirrorApply(true, 50, 0))

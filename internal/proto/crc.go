@@ -47,7 +47,7 @@ func CRC32C(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 func CRC32CUpdate(crc uint32, data []byte) uint32 { return crc32.Update(crc, castagnoli, data) }
 
 // SealFrame appends the CRC32C trailer to the frame occupying dst[start:]
-// (one complete frame as produced by AppendRequest/AppendResponseV) and
+// (one complete frame as produced by AppendRequest/AppendResponse) and
 // returns the extended slice.
 func SealFrame(dst []byte, start int) []byte {
 	return appendU32(dst, crc32.Checksum(dst[start:], castagnoli))
@@ -86,19 +86,15 @@ func crcOfLen(n uint32) uint32 {
 
 // ReadFrameCRC reads one sealed frame from r into buf (grown as needed),
 // verifying its trailer, and returns the body slice, which aliases buf. It
-// is ReadHeader, ReadBody, ReadTrailer.
+// is ReadFrame, then ReadTrailer.
 //
 //dytis:blocks
 func ReadFrameCRC(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	n, err := ReadHeader(r)
-	if err != nil {
-		return nil, buf, err
+	body, buf, err := ReadFrame(r, buf)
+	if err == nil {
+		err = ReadTrailer(r, len(body), body)
 	}
-	body, buf, err := ReadBody(r, n, buf)
 	if err != nil {
-		return nil, buf, err
-	}
-	if err := ReadTrailer(r, n, body); err != nil {
 		return nil, buf, err
 	}
 	return body, buf, nil

@@ -66,7 +66,6 @@ func goldenRequests() []goldenReq {
 		{"handover-status", Request{Op: OpHandoverStatus}},
 		{"handover-resume", Request{Op: OpHandoverResume}},
 		{"handover-abort", Request{Op: OpHandoverAbort}},
-		{"import-start", Request{Op: OpImportStart, Lo: 100, Hi: 200}},
 		{"import-resume", Request{Op: OpImportResume, Lo: 100, Hi: 200}},
 		{"import-end", Request{Op: OpImportEnd, Commit: true}},
 		{"import-end/abort", Request{Op: OpImportEnd}},
@@ -135,7 +134,6 @@ func goldenResponses() []goldenResp {
 		{"handover-status/none", Response{Op: OpHandoverStatus}},
 		{"handover-resume", Response{Op: OpHandoverResume}},
 		{"handover-abort", Response{Op: OpHandoverAbort}},
-		{"import-start", Response{Op: OpImportStart}},
 		{"import-resume/fresh", Response{Op: OpImportResume, Fresh: true}},
 		{"import-resume/attached", Response{Op: OpImportResume, Applied: 77}},
 		{"import-batch", Response{Op: OpImportBatch, Applied: 5}},
@@ -178,7 +176,7 @@ func reqBody(t *testing.T, r Request) []byte {
 
 func respBody(t *testing.T, r Response) []byte {
 	t.Helper()
-	frame, err := AppendResponseV(nil, &r, Version2)
+	frame, err := AppendResponse(nil, &r)
 	if err != nil {
 		t.Fatalf("AppendResponse(%v): %v", r.Op, err)
 	}
@@ -211,7 +209,16 @@ func goldenBadRequests(t *testing.T) []goldenBody {
 	ins := reqBody(t, Request{ID: 3, Op: OpInsertBatch, Keys: keysN(1), Vals: valsN(1)})
 	scan := reqBody(t, Request{ID: 4, Op: OpScanStart, Key: 1, Max: 8, Credits: 2})
 	hdr := func(op byte) []byte { return append(binary.BigEndian.AppendUint64(nil, 5), op) }
-	return []goldenBody{
+	var retired []goldenBody
+	for _, v := range goldenFlags {
+		// The import-session open the codec used to encode as opcode 21:
+		// import-resume's layout under that opcode.
+		name := "import-start" + v.suffix
+		b := reqBody(t, Request{ID: goldenID(name), Op: OpImportResume, Lo: 100, Hi: 200, TimeoutMS: v.timeout, Epoch: v.epoch})
+		b[8] = 21 | b[8]&(FlagDeadline|FlagEpoch)
+		retired = append(retired, goldenBody{name: name, body: b, changed: true})
+	}
+	return append(retired, []goldenBody{
 		{name: "empty", body: []byte{}},
 		{name: "id-only", body: make([]byte, 8)},
 		{name: "zero-opcode", body: make([]byte, 9)},
@@ -252,7 +259,7 @@ func goldenBadRequests(t *testing.T) []goldenBody {
 		{name: "import-end-missing", body: hdr(byte(OpImportEnd))},
 		{name: "mirror-del-7", body: append(append(hdr(byte(OpMirror)), 7), make([]byte, 16)...)},
 		{name: "mirror-truncated", body: append(append(hdr(byte(OpMirror)), 1), make([]byte, 15)...)},
-	}
+	}...)
 }
 
 // goldenBadResponses are response bodies for the response decoder; after the
@@ -275,10 +282,10 @@ func goldenBadResponses(t *testing.T) []goldenBody {
 		{name: "ping-trailing", body: append(hdr(byte(OpPing), 0), 0)},
 		{name: "get-truncated", body: append(hdr(byte(OpGet), 0), 1, 0, 0, 0)},
 		{name: "get-trailing", body: append(append(hdr(byte(OpGet), 0), 1), make([]byte, 9)...)},
-		{name: "get-found-2", body: append(append(hdr(byte(OpGet), 0), 2), make([]byte, 8)...)},
-		{name: "delete-found-ff", body: append(hdr(byte(OpDelete), 0), 0xFF)},
-		{name: "get-batch-found-2", body: edit(getBatch, setByte(14, 2))},
-		{name: "delete-batch-found-2", body: edit(delBatch, setByte(15, 2))},
+		{name: "get-found-2", body: append(append(hdr(byte(OpGet), 0), 2), make([]byte, 8)...), changed: true},
+		{name: "delete-found-ff", body: append(hdr(byte(OpDelete), 0), 0xFF), changed: true},
+		{name: "get-batch-found-2", body: edit(getBatch, setByte(14, 2)), changed: true},
+		{name: "delete-batch-found-2", body: edit(delBatch, setByte(15, 2)), changed: true},
 		{name: "get-batch-count-lies", body: edit(getBatch, put32(10, 2))},
 		{name: "get-batch-over-limit", body: edit(getBatch, put32(10, MaxBatch+1))},
 		{name: "delete-batch-over-limit", body: edit(delBatch, put32(10, MaxBatch+1))},
@@ -301,6 +308,7 @@ func goldenBadResponses(t *testing.T) []goldenBody {
 		{name: "wrong-shard-truncated-len", body: append(hdr(byte(OpGet), StatusWrongShard), 0, 0, 0)},
 		{name: "err-any-message", body: append(hdr(byte(OpGet), StatusErr), 0xFF, 0)},
 		{name: "unknown-status", body: append(hdr(byte(OpGet), 200), 'x')},
+		{name: "import-start", body: append(binary.BigEndian.AppendUint64(nil, goldenID("import-start")), 21, 0), changed: true},
 	}
 }
 
@@ -356,14 +364,14 @@ func renderGolden(t *testing.T) []string {
 		lines = append(lines, fmt.Sprintf("req %s %x", c.name, frame))
 	}
 	for _, c := range goldenResponses() {
-		frame, err := AppendResponseV(nil, &c.r, Version2)
+		frame, err := AppendResponse(nil, &c.r)
 		if err != nil {
 			t.Fatalf("resp %s: %v", c.name, err)
 		}
 		var got Response
-		if err := DecodeResponseV(frame[headerLen:], &got, Version2); err != nil {
+		if err := DecodeResponse(frame[headerLen:], &got); err != nil {
 			t.Errorf("resp %s: decode: %v", c.name, err)
-		} else if again, _ := AppendResponseV(nil, &got, Version2); string(again) != string(frame) {
+		} else if again, _ := AppendResponse(nil, &got); string(again) != string(frame) {
 			t.Errorf("resp %s: decodes to %+v, which re-encodes differently", c.name, got)
 		}
 		lines = append(lines, fmt.Sprintf("resp %s %x", c.name, frame))
@@ -375,7 +383,7 @@ func renderGolden(t *testing.T) []string {
 	}
 	for _, c := range goldenBadResponses(t) {
 		var r Response
-		res := decodeResult(DecodeResponseV(c.body, &r, Version2))
+		res := decodeResult(DecodeResponse(c.body, &r))
 		lines = append(lines, fmt.Sprintf("%sdecode-resp %s %s %s", mark(c.changed), c.name, res, hexOf(c.body)))
 	}
 	return lines

@@ -11,127 +11,66 @@
 //	uint32  body length (big endian), at most MaxFrame-4
 //	uint64  request id  — echoed verbatim in the response so a pipelining
 //	                      client can match out-of-order completions
-//	uint8   opcode      — requests may OR in FlagDeadline (0x80), followed
-//	                      by uint32 timeout-millis before the payload: the
-//	                      caller's remaining deadline budget, which the
-//	                      server uses to shed requests that have already
-//	                      expired in its queue
+//	uint8   opcode      — requests may OR in FlagDeadline (0x80) and
+//	                      FlagEpoch (0x40), each announcing a field before
+//	                      the payload: uint32 timeout-millis, the caller's
+//	                      remaining deadline budget, which the server uses
+//	                      to shed requests that expired in its queue; then
+//	                      uint64 shard-map epoch
 //	...     opcode-specific payload (requests) / status + payload (responses)
 //
-// Integers are big endian. Request payloads:
+// Integers are big endian; a bool is one byte, 0 or 1, and a decoder
+// refuses any other value, so every frame has one encoding. Each opcode's
+// request payload and OK-response payload is a list of fields in one table,
+// specs (spec.go), from which the encoders and decoders run; DESIGN.md §9's
+// wire table is rendered from it. A response whose status is not OK carries
+// instead a StatusOverload's typed retryAfterMillis(4), a StatusWrongShard's
+// encoded shard map as length(4) + blob, and then a UTF-8 message filling
+// the rest of the frame.
 //
-//	Ping         —
-//	Get          key(8)
-//	Insert       key(8) val(8)
-//	Delete       key(8)
-//	GetBatch     n(4) key(8)*n                        n <= MaxBatch
-//	InsertBatch  n(4) [key(8) val(8)]*n               n <= MaxBatch
-//	DeleteBatch  n(4) key(8)*n                        n <= MaxBatch
-//	Len          —
-//
-// Response payloads, after a 1-byte status (0 = OK; otherwise the remaining
-// body is a UTF-8 error message):
-//
-//	Ping         —
-//	Get          found(1) val(8)
-//	Insert       —
-//	Delete       found(1)
-//	GetBatch     n(4) [found(1) val(8)]*n
-//	InsertBatch  —
-//	DeleteBatch  n(4) found(1)*n
-//	Len          count(8)
-//
-// Opcode 5, between Delete and GetBatch, is reserved: it was a whole-result
-// scan, which scans no longer use, and every decoder refuses it.
+// Opcodes 5 (the whole-result scan, which scans no longer use) and 21 (an
+// import-session open that ImportResume replaced) are reserved: no encoder
+// emits them and every decoder refuses them, so every later opcode keeps its
+// number.
 //
 // The per-op byte cost makes the batching amortization concrete: a pipelined
 // single-key GET costs 25 bytes of request framing for 8 bytes of key; a
 // 128-key GetBatch costs 17+4 bytes of framing for 1024 bytes of keys.
 //
-// # Protocol v2 (negotiated)
+// # Handshake and features
 //
-// Everything above is the protocol v1 encoding, which the HELLO exchange
-// still uses. Every connection opens with OpHello as its first request:
-//
-//	Hello (request)   maxVersion(1) features(4)
-//	Hello (response)  version(1) features(4)       — the negotiated subset
-//
-// The server refuses a first frame that is not a HELLO asking for Version2
-// with FeatCRC and FeatScanStream: it answers StatusBadRequest and closes
-// the connection. The HELLO exchange itself is unsealed v1 framing; every
-// frame after it is protocol v2. Scans travel only as streams. Version2
-// negotiates these features:
+// Every connection opens with OpHello as its first request; the server
+// refuses a first frame that is not a HELLO asking for Version2 with FeatCRC
+// and FeatScanStream: it answers StatusBadRequest and closes the connection.
+// The HELLO exchange itself travels unsealed; every frame after it is
+// sealed. Version2 negotiates these features:
 //
 //   - FeatCRC: every frame after the HELLO exchange, in both directions,
 //     carries a 4-byte CRC32C (Castagnoli) trailer covering the length
 //     prefix and the body (see crc.go). The trailer is not counted in the
 //     length prefix.
 //
-//   - FeatScanStream: the streaming scan opcode family. A scan becomes a
-//     server-push stream with client credit-based flow control:
+//   - FeatScanStream: the streaming scan opcode family, the one way a scan
+//     travels. ScanStart opens a server-push stream of ScanChunk frames,
+//     each at most chunk pairs, ended by ScanEnd carrying the total (status
+//     != OK on abort); max is the total pair budget (0 = unbounded). Every
+//     frame of a stream echoes the ScanStart's request id. The server sends
+//     at most credits chunks ahead of the client's consumption, and the
+//     client grants one credit back per consumed chunk (ScanCredit, never
+//     answered), so a million-key scan flows in bounded chunks interleaved
+//     with the connection's other pipelined traffic. ScanCancel (never
+//     answered) abandons a stream.
 //
-//     ScanStart  (request)   start(8) max(8) chunk(4) credits(4)
-//     max is the total pair budget (0 = unbounded),
-//     chunk the per-frame pair bound (<= MaxScan),
-//     credits the initial window (<= MaxScanCredits)
-//     ScanCredit (request)   credits(4) — id = the scan's id; never answered
-//     ScanCancel (request)   — id = the scan's id; never answered
-//     ScanChunk  (response)  n(4) [key(8) val(8)]*n — one chunk, costs one credit
-//     ScanEnd    (response)  total(8) — stream end (status != OK on abort)
-//
-// Every frame of a stream (the chunks and the end) echoes the ScanStart's
-// request id. The server sends at most `credits` chunks ahead of the
-// client's consumption; the client grants one credit back per chunk it has
-// consumed, so a million-key scan flows in bounded chunks interleaved with
-// the connection's other pipelined traffic instead of marshaling one huge
-// response.
-//
-// Responses also fork on one point at v2: a StatusOverload response carries
-// a typed retryAfterMillis(4) before the message, so clients no longer
-// parse the human-readable hint out of Msg (v1 keeps the Msg-only form).
-//
-// # Cluster opcodes (FeatCluster)
-//
-// FeatCluster enables the sharded-serving opcode family (internal/cluster,
-// client.DialCluster). A cluster-routed request may OR FlagEpoch (0x40) into
-// its opcode byte, announcing a uint64 shard-map epoch after the optional
-// deadline field; a server owning a different epoch (or not owning a
-// request's key) answers StatusWrongShard, whose v2 payload carries the
-// server's current encoded shard map before the message, so a routing
-// client refreshes and retries instead of guessing. Request payloads:
-//
-//	ShardInfo       —
-//	MapGet          —
-//	MapSet          selfLo(8) selfHi(8) map-blob(rest)
-//	HandoverStart   lo(8) hi(8) targetAddr(rest)        1 <= len <= MaxAddr
-//	HandoverStatus  —
-//	HandoverResume  —
-//	HandoverAbort   —
-//	ImportStart     lo(8) hi(8)
-//	ImportResume    lo(8) hi(8)
-//	ImportBatch     n(4) [key(8) val(8)]*n              n <= MaxBatch
-//	ImportEnd       commit(1)                           0 or 1
-//	Mirror          del(1) key(8) val(8)                del 0 or 1
-//
-// OK response payloads:
-//
-//	ShardInfo       lo(8) hi(8) epoch(8) state(1)
-//	MapGet          map-blob(rest)
-//	HandoverStatus  state(1) copied(8) mirrored(8) retries(8) resumes(8)
-//	                watermark(8) lo(8) hi(8) addrLen(1) targetAddr(addrLen)
-//	                cause(rest)
-//	                addrLen <= MaxAddr; both empty when no handover exists;
-//	                cause is the suspension's text, empty unless suspended
-//	ImportResume    fresh(1) applied(8)                 fresh 0 or 1
-//	ImportBatch     applied(8)
-//	MapSet/HandoverStart/HandoverResume/HandoverAbort/ImportStart/ImportEnd/Mirror   —
-//
-// The map blob itself is opaque at this layer (internal/cluster defines
-// and validates its encoding); proto only bounds and transports it.
-// Handover resume semantics live in internal/cluster: HandoverResume
-// restarts a suspended handover from its watermark, HandoverAbort
-// abandons it, and ImportResume reattaches (fresh=0) or recreates
-// (fresh=1) the target-side import session.
+//   - FeatCluster: the sharded-serving opcode family (internal/cluster,
+//     client.DialCluster; Opcode.Cluster), FlagEpoch on requests, and
+//     StatusWrongShard redirects. A server owning a different epoch, or not
+//     owning a request's key, answers StatusWrongShard with its current map,
+//     so a routing client refreshes and retries instead of guessing. The map
+//     blob is opaque at this layer (internal/cluster defines and validates
+//     its encoding); proto only bounds and transports it. Handover semantics
+//     live in internal/cluster: HandoverResume restarts a suspended handover
+//     from its watermark, HandoverAbort abandons it, and ImportResume
+//     reattaches (fresh=0) or opens (fresh=1) the target-side import session.
 package proto
 
 import (
@@ -169,93 +108,25 @@ const (
 	OpScanEnd    //dytis:response-only end of a scan stream
 
 	// Cluster opcodes (negotiated via FeatCluster; see the package comment).
-	OpShardInfo      // this server's owned range, map epoch, and handover state
-	OpMapGet         // fetch the server's current encoded shard map
-	OpMapSet         // install a shard map (admin/ctl; bumps the epoch)
-	OpHandoverStart  // begin migrating an owned subrange to a peer
-	OpHandoverStatus // poll the running handover's progress
-	OpImportStart    // peer-side: open an import session for a range
-	OpImportBatch    // peer-side: one bulk page of the session's pairs
-	OpImportEnd      // peer-side: close the session (commit or abort+scrub)
-	OpMirror         // peer-side: one double-written op during cutover
+	OpShardInfo          // this server's owned range, map epoch, and handover state
+	OpMapGet             // fetch the server's current encoded shard map
+	OpMapSet             // install a shard map (admin/ctl; bumps the epoch)
+	OpHandoverStart      // begin migrating an owned subrange to a peer
+	OpHandoverStatus     // poll the running handover's progress
+	opImportStartRetired // reserved: an import-session open, which OpImportResume replaced; decoders refuse it
+	OpImportBatch        // peer-side: one bulk page of the session's pairs
+	OpImportEnd          // peer-side: close the session (commit or abort+scrub)
+	OpMirror             // peer-side: one double-written op during cutover
 
 	// Handover robustness opcodes (still FeatCluster; see internal/cluster).
 	OpHandoverResume // restart a suspended handover from its watermark
 	OpHandoverAbort  // abandon the handover and scrub the target session
-	OpImportResume   // peer-side: reattach to (or recreate) an import session
+	OpImportResume   // peer-side: reattach to (or open) an import session
 
 	// NumOpcodes bounds the opcode space; valid opcodes are 1..NumOpcodes-1,
 	// so it can size per-opcode metric arrays.
 	NumOpcodes
 )
-
-func (o Opcode) String() string {
-	//dytis:opswitch opcodes
-	switch o {
-	case OpPing:
-		return "ping"
-	case OpGet:
-		return "get"
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	case OpGetBatch:
-		return "get-batch"
-	case OpInsertBatch:
-		return "insert-batch"
-	case OpDeleteBatch:
-		return "delete-batch"
-	case OpLen:
-		return "len"
-	case OpHello:
-		return "hello"
-	case OpScanStart:
-		return "scan-start"
-	case OpScanCredit:
-		return "scan-credit"
-	case OpScanCancel:
-		return "scan-cancel"
-	case OpScanChunk:
-		return "scan-chunk"
-	case OpScanEnd:
-		return "scan-end"
-	case OpShardInfo:
-		return "shard-info"
-	case OpMapGet:
-		return "map-get"
-	case OpMapSet:
-		return "map-set"
-	case OpHandoverStart:
-		return "handover-start"
-	case OpHandoverStatus:
-		return "handover-status"
-	case OpImportStart:
-		return "import-start"
-	case OpImportBatch:
-		return "import-batch"
-	case OpImportEnd:
-		return "import-end"
-	case OpMirror:
-		return "mirror"
-	case OpHandoverResume:
-		return "handover-resume"
-	case OpHandoverAbort:
-		return "handover-abort"
-	case OpImportResume:
-		return "import-resume"
-	}
-	return fmt.Sprintf("opcode(%d)", uint8(o))
-}
-
-// Valid reports whether o is a defined request opcode. The response-only
-// stream opcodes are excluded: a request decoder must reject them.
-func (o Opcode) Valid() bool {
-	return o.ValidResponse() && o != OpScanChunk && o != OpScanEnd
-}
-
-// ValidResponse reports whether o may appear in a response.
-func (o Opcode) ValidResponse() bool { return o > OpInvalid && o < NumOpcodes && o != opScanRetired }
 
 // FlagDeadline, OR-ed into a request's opcode byte, announces a uint32
 // timeout-millis field between the opcode and the payload. The encoding is
@@ -271,8 +142,8 @@ const FlagEpoch = 0x40
 
 // Protocol versions, negotiated via OpHello (see the package comment).
 const (
-	// Version1 is the original encoding, which the HELLO exchange still
-	// uses; the server refuses a connection that asks for no more.
+	// Version1 is the original protocol, which no server speaks any more:
+	// it refuses a HELLO that asks for no more.
 	Version1 uint8 = 1
 	// Version2 adds per-frame CRC32C trailers, the streaming scan opcode
 	// family, and a typed retry-after field on overload responses.
@@ -327,7 +198,7 @@ const (
 	StatusChecksum
 	// StatusWrongShard: the request named a key this server does not own,
 	// or carried a shard-map epoch that is not the server's current one
-	// (FeatCluster). At v2 the response body carries the server's current
+	// (FeatCluster). The response body carries the server's current
 	// encoded shard map (u32 length + blob) before the message, so a
 	// routing client can refresh its map and retry without a side channel.
 	StatusWrongShard
@@ -358,6 +229,9 @@ const (
 	headerLen = 4     // length prefix
 	prefixLen = 8 + 1 // request id + opcode, present in every body
 	maxBody   = MaxFrame - headerLen
+	// maxFixed bounds a payload's fixed-width fields: HandoverStatus's
+	// state, seven counters and address length are the widest.
+	maxFixed = 1 + 7*8 + 1
 )
 
 // Decode errors. Wrapped with detail; match with errors.Is.
@@ -399,7 +273,7 @@ type Request struct {
 	// request under (FlagEpoch on the wire). A server owning a different
 	// epoch answers StatusWrongShard instead of executing.
 	Epoch   uint64
-	Lo, Hi  uint64 // MapSet: self range; HandoverStart/ImportStart/ImportResume: moved range
+	Lo, Hi  uint64 // MapSet: self range; HandoverStart/ImportResume: moved range
 	Addr    string // HandoverStart: target endpoint
 	MapBlob []byte // MapSet: the encoded shard map to install
 	Commit  bool   // ImportEnd: commit (true) or abort+scrub (false)
@@ -424,8 +298,7 @@ type Response struct {
 	Ver   uint8  // Hello: negotiated version
 	Feats uint32 // Hello: granted feature bits
 	// RetryAfterMS is the typed retry-after hint of a StatusOverload
-	// response. Protocol v2 carries it on the wire; on v1 it stays zero
-	// and RetryAfter falls back to parsing Msg.
+	// response; when it is zero, RetryAfter falls back to parsing Msg.
 	RetryAfterMS uint32
 
 	// Cluster fields (FeatCluster).
@@ -442,7 +315,7 @@ type Response struct {
 	Applied   uint64 // ImportBatch/ImportResume: pairs actually applied (duplicates skipped)
 	Fresh     bool   // ImportResume: the session was recreated, not reattached
 	// MapBlob is the server's current encoded shard map: the MapGet answer,
-	// and on v2 the redirect payload of a StatusWrongShard response.
+	// and the redirect payload of a StatusWrongShard response.
 	MapBlob []byte
 }
 
@@ -455,7 +328,7 @@ func (r *Response) Err() error {
 }
 
 // RetryAfter returns the retry-after hint of a StatusOverload response: the
-// typed v2 field when present, otherwise parsed out of Msg (the v1 form).
+// typed field when nonzero, otherwise parsed out of Msg.
 // It reports false for other statuses or an absent/unparseable hint.
 func (r *Response) RetryAfter() (time.Duration, bool) {
 	if r.Status != StatusOverload {
@@ -471,7 +344,7 @@ func (r *Response) RetryAfter() (time.Duration, bool) {
 	return d, true
 }
 
-// --- encoding ---------------------------------------------------------------
+// --- encoding and decoding -------------------------------------------------
 
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
@@ -481,264 +354,68 @@ func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64
 // if r violates a protocol limit, so a misconfigured caller fails loudly
 // instead of emitting a frame the peer must reject.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
+	if !r.Op.Valid() {
+		return dst, fmt.Errorf("%w: %d", ErrBadOpcode, uint8(r.Op))
+	}
 	lenAt := len(dst)
-	dst = slices.Grow(dst, requestSize(r))
+	dst = slices.Grow(dst, headerLen+prefixLen+4+8+maxFixed+TrailerLen+
+		8*min(len(r.Keys)+len(r.Vals), 2*MaxBatch)+min(len(r.MapBlob), MaxMapBlob)+min(len(r.Addr), MaxAddr))
 	dst = appendU32(dst, 0) // frame length, patched below
-	dst = appendU64(dst, r.ID)
-	opb := byte(r.Op)
+	dst = append(appendU64(dst, r.ID), byte(r.Op))
 	if r.TimeoutMS != 0 {
-		opb |= FlagDeadline
-	}
-	if r.Epoch != 0 {
-		opb |= FlagEpoch
-	}
-	dst = append(dst, opb)
-	if r.TimeoutMS != 0 {
+		dst[lenAt+headerLen+8] |= FlagDeadline
 		dst = appendU32(dst, r.TimeoutMS)
 	}
 	if r.Epoch != 0 {
+		dst[lenAt+headerLen+8] |= FlagEpoch
 		dst = appendU64(dst, r.Epoch)
 	}
-	//dytis:opswitch requests
-	switch r.Op {
-	case OpPing, OpLen:
-	case OpGet, OpDelete:
-		dst = appendU64(dst, r.Key)
-	case OpInsert:
-		dst = appendU64(dst, r.Key)
-		dst = appendU64(dst, r.Val)
-	case OpGetBatch, OpDeleteBatch:
-		if len(r.Keys) > MaxBatch {
-			return dst, fmt.Errorf("%w: batch of %d", ErrLimit, len(r.Keys))
-		}
-		dst = appendU32(dst, uint32(len(r.Keys)))
-		for _, k := range r.Keys {
-			dst = appendU64(dst, k)
-		}
-	case OpInsertBatch:
-		if len(r.Keys) > MaxBatch {
-			return dst, fmt.Errorf("%w: batch of %d", ErrLimit, len(r.Keys))
-		}
-		if len(r.Keys) != len(r.Vals) {
-			return dst, fmt.Errorf("proto: insert batch keys/vals length mismatch (%d vs %d)", len(r.Keys), len(r.Vals))
-		}
-		dst = appendU32(dst, uint32(len(r.Keys)))
-		for i, k := range r.Keys {
-			dst = appendU64(dst, k)
-			dst = appendU64(dst, r.Vals[i])
-		}
-	case OpHello:
-		dst = append(dst, r.Ver)
-		dst = appendU32(dst, r.Feats)
-	case OpScanStart:
-		if r.Max == 0 || r.Max > MaxScan {
-			return dst, fmt.Errorf("%w: scan chunk %d", ErrLimit, r.Max)
-		}
-		if r.Credits == 0 || r.Credits > MaxScanCredits {
-			return dst, fmt.Errorf("%w: scan credits %d", ErrLimit, r.Credits)
-		}
-		dst = appendU64(dst, r.Key)
-		dst = appendU64(dst, r.ScanMax)
-		dst = appendU32(dst, r.Max)
-		dst = appendU32(dst, r.Credits)
-	case OpScanCredit:
-		if r.Credits == 0 || r.Credits > MaxScanCredits {
-			return dst, fmt.Errorf("%w: scan credits %d", ErrLimit, r.Credits)
-		}
-		dst = appendU32(dst, r.Credits)
-	case OpScanCancel:
-	case OpShardInfo, OpMapGet, OpHandoverStatus, OpHandoverResume, OpHandoverAbort:
-	case OpMapSet:
-		if len(r.MapBlob) == 0 || len(r.MapBlob) > MaxMapBlob {
-			return dst, fmt.Errorf("%w: map blob of %d bytes", ErrLimit, len(r.MapBlob))
-		}
-		dst = appendU64(dst, r.Lo)
-		dst = appendU64(dst, r.Hi)
-		dst = append(dst, r.MapBlob...)
-	case OpHandoverStart:
-		if len(r.Addr) == 0 || len(r.Addr) > MaxAddr {
-			return dst, fmt.Errorf("%w: address of %d bytes", ErrLimit, len(r.Addr))
-		}
-		dst = appendU64(dst, r.Lo)
-		dst = appendU64(dst, r.Hi)
-		dst = append(dst, r.Addr...)
-	case OpImportStart, OpImportResume:
-		dst = appendU64(dst, r.Lo)
-		dst = appendU64(dst, r.Hi)
-	case OpImportBatch:
-		if len(r.Keys) > MaxBatch {
-			return dst, fmt.Errorf("%w: batch of %d", ErrLimit, len(r.Keys))
-		}
-		if len(r.Keys) != len(r.Vals) {
-			return dst, fmt.Errorf("proto: import batch keys/vals length mismatch (%d vs %d)", len(r.Keys), len(r.Vals))
-		}
-		dst = appendU32(dst, uint32(len(r.Keys)))
-		for i, k := range r.Keys {
-			dst = appendU64(dst, k)
-			dst = appendU64(dst, r.Vals[i])
-		}
-	case OpImportEnd:
-		dst = append(dst, boolByte(r.Commit))
-	case OpMirror:
-		dst = append(dst, boolByte(r.Del))
-		dst = appendU64(dst, r.Key)
-		dst = appendU64(dst, r.Val)
-	default:
+	var err error
+	c := codec{err: &err}
+	for _, f := range specs[r.Op].req {
+		dst = r.field(&c, dst, f)
+	}
+	return finish(dst, lenAt, err)
+}
+
+// AppendResponse appends r as one framed response to dst.
+func AppendResponse(dst []byte, r *Response) ([]byte, error) {
+	if !r.Op.ValidResponse() {
 		return dst, fmt.Errorf("%w: %d", ErrBadOpcode, uint8(r.Op))
 	}
-	return patchLen(dst, lenAt)
-}
-
-// AppendResponse appends r as one framed protocol-v1 response to dst.
-func AppendResponse(dst []byte, r *Response) ([]byte, error) {
-	return AppendResponseV(dst, r, Version1)
-}
-
-// AppendResponseV appends r as one framed response to dst, encoded for the
-// connection's negotiated protocol version. The versions differ on exactly
-// one point: at Version2 a StatusOverload response carries a typed
-// retryAfterMillis field before the message.
-func AppendResponseV(dst []byte, r *Response, ver uint8) ([]byte, error) {
 	lenAt := len(dst)
-	dst = slices.Grow(dst, responseSize(r))
+	dst = slices.Grow(dst, headerLen+prefixLen+1+maxFixed+TrailerLen+
+		8*min(len(r.Keys)+len(r.Vals), 2*MaxScan)+min(len(r.Founds), MaxBatch)+
+		min(len(r.MapBlob), MaxMapBlob)+min(len(r.Addr), MaxAddr)+len(r.Cause)+len(r.Msg))
 	dst = appendU32(dst, 0)
 	dst = appendU64(dst, r.ID)
-	dst = append(dst, byte(r.Op))
-	dst = append(dst, byte(r.Status))
-	if r.Status != StatusOK {
-		if r.Status == StatusOverload && ver >= Version2 {
-			dst = appendU32(dst, r.RetryAfterMS)
+	dst = append(dst, byte(r.Op), byte(r.Status))
+	var err error
+	c := codec{err: &err}
+	if r.Status == StatusOK {
+		for _, f := range specs[r.Op].resp {
+			dst = r.field(&c, dst, f)
 		}
-		if r.Status == StatusWrongShard && ver >= Version2 {
-			if len(r.MapBlob) > MaxMapBlob {
-				return dst, fmt.Errorf("%w: map blob of %d bytes", ErrLimit, len(r.MapBlob))
-			}
-			dst = appendU32(dst, uint32(len(r.MapBlob)))
-			dst = append(dst, r.MapBlob...)
-		}
-		dst = append(dst, r.Msg...)
-		return patchLen(dst, lenAt)
+		return finish(dst, lenAt, err)
 	}
-	//dytis:opswitch responses
-	switch r.Op {
-	case OpPing, OpInsert, OpInsertBatch:
-	case OpGet:
-		dst = append(dst, boolByte(r.Found))
-		dst = appendU64(dst, r.Val)
-	case OpDelete:
-		dst = append(dst, boolByte(r.Found))
-	case OpGetBatch:
-		if len(r.Vals) > MaxBatch || len(r.Vals) != len(r.Founds) {
-			return dst, fmt.Errorf("%w: get-batch result of %d/%d", ErrLimit, len(r.Vals), len(r.Founds))
-		}
-		dst = appendU32(dst, uint32(len(r.Vals)))
-		for i, v := range r.Vals {
-			dst = append(dst, boolByte(r.Founds[i]))
-			dst = appendU64(dst, v)
-		}
-	case OpDeleteBatch:
-		if len(r.Founds) > MaxBatch {
-			return dst, fmt.Errorf("%w: delete-batch result of %d", ErrLimit, len(r.Founds))
-		}
-		dst = appendU32(dst, uint32(len(r.Founds)))
-		for _, f := range r.Founds {
-			dst = append(dst, boolByte(f))
-		}
-	case OpLen:
-		dst = appendU64(dst, r.Val)
-	case OpHello:
-		dst = append(dst, r.Ver)
-		dst = appendU32(dst, r.Feats)
-	case OpScanStart, OpScanCredit, OpScanCancel:
-		// No OK payload: a successful ScanStart answers with chunk/end
-		// frames, and credit/cancel are never answered at all.
-	case OpScanChunk:
-		if len(r.Keys) > MaxScan || len(r.Keys) != len(r.Vals) {
-			return dst, fmt.Errorf("%w: scan chunk of %d/%d", ErrLimit, len(r.Keys), len(r.Vals))
-		}
-		dst = appendU32(dst, uint32(len(r.Keys)))
-		for i, k := range r.Keys {
-			dst = appendU64(dst, k)
-			dst = appendU64(dst, r.Vals[i])
-		}
-	case OpScanEnd:
-		dst = appendU64(dst, r.Val)
-	case OpShardInfo:
-		dst = appendU64(dst, r.Lo)
-		dst = appendU64(dst, r.Hi)
-		dst = appendU64(dst, r.Epoch)
-		dst = append(dst, r.State)
-	case OpMapGet:
-		if len(r.MapBlob) == 0 || len(r.MapBlob) > MaxMapBlob {
+	if r.Status == StatusOverload {
+		dst = appendU32(dst, r.RetryAfterMS)
+	}
+	if r.Status == StatusWrongShard {
+		if len(r.MapBlob) > MaxMapBlob {
 			return dst, fmt.Errorf("%w: map blob of %d bytes", ErrLimit, len(r.MapBlob))
 		}
-		dst = append(dst, r.MapBlob...)
-	case OpHandoverStatus:
-		if len(r.Addr) > MaxAddr {
-			return dst, fmt.Errorf("%w: address of %d bytes", ErrLimit, len(r.Addr))
-		}
-		dst = append(dst, r.State)
-		dst = appendU64(dst, r.Copied)
-		dst = appendU64(dst, r.Mirrored)
-		dst = appendU64(dst, r.Retries)
-		dst = appendU64(dst, r.Resumes)
-		dst = appendU64(dst, r.Watermark)
-		dst = appendU64(dst, r.Lo)
-		dst = appendU64(dst, r.Hi)
-		dst = append(dst, byte(len(r.Addr)))
-		dst = append(dst, r.Addr...)
-		dst = append(dst, r.Cause...)
-	case OpImportResume:
-		dst = append(dst, boolByte(r.Fresh))
-		dst = appendU64(dst, r.Applied)
-	case OpImportBatch:
-		dst = appendU64(dst, r.Applied)
-	case OpMapSet, OpHandoverStart, OpHandoverResume, OpHandoverAbort, OpImportStart, OpImportEnd, OpMirror:
-	default:
-		return dst, fmt.Errorf("%w: %d", ErrBadOpcode, uint8(r.Op))
+		dst = append(appendU32(dst, uint32(len(r.MapBlob))), r.MapBlob...)
 	}
-	return patchLen(dst, lenAt)
+	return finish(append(dst, r.Msg...), lenAt, nil)
 }
 
-// requestSize bounds r's frame from above — length prefix, deadline and
-// epoch fields and a CRC trailer included — so AppendRequest reserves its
-// room once instead of doubling from nil. An over-limit request is refused
-// by the encoder before it copies anything the bound was sized for.
-func requestSize(r *Request) int {
-	n := headerLen + prefixLen + 4 + 8 + TrailerLen
-	switch r.Op {
-	case OpGetBatch, OpDeleteBatch:
-		return n + 4 + 8*min(len(r.Keys), MaxBatch)
-	case OpInsertBatch, OpImportBatch:
-		return n + 4 + 16*min(len(r.Keys), MaxBatch)
+// finish ends an encoding: it writes the frame's body length into the 4
+// bytes at lenAt and rejects frames that failed or outgrew MaxFrame.
+func finish(dst []byte, lenAt int, err error) ([]byte, error) {
+	if err != nil {
+		return dst, err
 	}
-	// ScanStart's 24 bytes are the largest fixed payload.
-	return n + 24 + min(len(r.MapBlob), MaxMapBlob) + min(len(r.Addr), MaxAddr)
-}
-
-// responseSize is requestSize for AppendResponseV.
-func responseSize(r *Response) int {
-	n := headerLen + prefixLen + 1 + TrailerLen
-	if r.Status != StatusOK {
-		return n + 4 + 4 + min(len(r.MapBlob), MaxMapBlob) + len(r.Msg)
-	}
-	switch r.Op {
-	case OpScanChunk:
-		return n + 4 + 16*min(len(r.Keys), MaxScan)
-	case OpGetBatch:
-		return n + 4 + 9*min(len(r.Vals), MaxBatch)
-	case OpDeleteBatch:
-		return n + 4 + min(len(r.Founds), MaxBatch)
-	case OpHandoverStatus:
-		return n + 1 + 7*8 + 1 + min(len(r.Addr), MaxAddr) + len(r.Cause)
-	}
-	// ShardInfo's 25 bytes are the largest other fixed payload.
-	return n + 25 + min(len(r.MapBlob), MaxMapBlob)
-}
-
-// patchLen writes the frame's body length into the 4 bytes at lenAt and
-// rejects frames that outgrew MaxFrame.
-func patchLen(dst []byte, lenAt int) ([]byte, error) {
 	body := len(dst) - lenAt - headerLen
 	if body > maxBody {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body+headerLen)
@@ -747,467 +424,100 @@ func patchLen(dst []byte, lenAt int) ([]byte, error) {
 	return dst, nil
 }
 
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// --- decoding ---------------------------------------------------------------
-
-// reader is a bounds-checked cursor over one frame body.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, ErrTruncated
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// count reads a 4-byte entry count and validates it against both the given
-// protocol limit and the bytes actually remaining in the frame (at perEntry
-// bytes each), so a lying count can neither over-allocate nor over-read.
-func (r *reader) count(limit int, perEntry int) (int, error) {
-	n32, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	n := int(n32)
-	if n > limit {
-		return 0, fmt.Errorf("%w: %d > %d", ErrLimit, n, limit)
-	}
-	if need := n * perEntry; need > r.remaining() {
-		return 0, fmt.Errorf("%w: count %d needs %d bytes, %d remain", ErrTruncated, n, need, r.remaining())
-	}
-	return n, nil
-}
-
-func (r *reader) done() error {
-	if r.remaining() != 0 {
-		return fmt.Errorf("%w: %d bytes", ErrTrailingBytes, r.remaining())
-	}
-	return nil
-}
-
 // DecodeRequest decodes one request from a frame body (the bytes after the
 // 4-byte length prefix) into req, which is overwritten; its Keys/Vals slices
 // are reused when their capacity suffices. It never panics and never
 // allocates more than the validated entry counts require.
 func DecodeRequest(body []byte, req *Request) error {
-	rd := reader{b: body}
-	id, err := rd.u64()
-	if err != nil {
-		return err
+	if len(body) < prefixLen {
+		return fmt.Errorf("%w: %d-byte body", ErrTruncated, len(body))
 	}
-	opb, err := rd.u8()
-	if err != nil {
-		return err
-	}
+	opb := body[8]
 	op := Opcode(opb &^ (FlagDeadline | FlagEpoch))
 	if !op.Valid() {
 		return fmt.Errorf("%w: %d", ErrBadOpcode, opb)
 	}
-	var timeoutMS uint32
-	if opb&FlagDeadline != 0 {
-		if timeoutMS, err = rd.u32(); err != nil {
-			return err
-		}
-		if timeoutMS == 0 {
-			// Zero budget under the flag is non-canonical (the encoder omits
-			// the flag instead); rejecting it keeps one-encoding-per-request.
-			return fmt.Errorf("proto: deadline flag with zero budget")
-		}
-	}
-	var epoch uint64
-	if opb&FlagEpoch != 0 {
-		if epoch, err = rd.u64(); err != nil {
-			return err
-		}
-		if epoch == 0 {
-			// Same canonicality rule as the deadline flag: epochs start at 1,
-			// so a zero epoch is only ever the flag misapplied.
-			return fmt.Errorf("proto: epoch flag with zero epoch")
-		}
-	}
 	*req = Request{
-		ID: id, Op: op, TimeoutMS: timeoutMS, Epoch: epoch,
+		ID: binary.BigEndian.Uint64(body), Op: op,
 		Keys: req.Keys[:0], Vals: req.Vals[:0], MapBlob: req.MapBlob[:0],
 	}
-	//dytis:opswitch requests
-	switch op {
-	case OpPing, OpLen:
-	case OpGet, OpDelete:
-		if req.Key, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpInsert:
-		if req.Key, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Val, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpGetBatch, OpDeleteBatch:
-		n, err := rd.count(MaxBatch, 8)
-		if err != nil {
-			return err
-		}
-		req.Keys = growTo(req.Keys, n)
-		for i := 0; i < n; i++ {
-			req.Keys[i], _ = rd.u64() // length pre-validated by count
-		}
-	case OpInsertBatch:
-		n, err := rd.count(MaxBatch, 16)
-		if err != nil {
-			return err
-		}
-		req.Keys = growTo(req.Keys, n)
-		req.Vals = growTo(req.Vals, n)
-		for i := 0; i < n; i++ {
-			req.Keys[i], _ = rd.u64()
-			req.Vals[i], _ = rd.u64()
-		}
-	case OpHello:
-		if req.Ver, err = rd.u8(); err != nil {
-			return err
-		}
-		if req.Feats, err = rd.u32(); err != nil {
-			return err
-		}
-	case OpScanStart:
-		if req.Key, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.ScanMax, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Max, err = rd.u32(); err != nil {
-			return err
-		}
-		if req.Max == 0 || req.Max > MaxScan {
-			return fmt.Errorf("%w: scan chunk %d", ErrLimit, req.Max)
-		}
-		if req.Credits, err = rd.u32(); err != nil {
-			return err
-		}
-		if req.Credits == 0 || req.Credits > MaxScanCredits {
-			return fmt.Errorf("%w: scan credits %d", ErrLimit, req.Credits)
-		}
-	case OpScanCredit:
-		if req.Credits, err = rd.u32(); err != nil {
-			return err
-		}
-		if req.Credits == 0 || req.Credits > MaxScanCredits {
-			return fmt.Errorf("%w: scan credits %d", ErrLimit, req.Credits)
-		}
-	case OpScanCancel:
-	case OpShardInfo, OpMapGet, OpHandoverStatus, OpHandoverResume, OpHandoverAbort:
-	case OpMapSet:
-		if req.Lo, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Hi, err = rd.u64(); err != nil {
-			return err
-		}
-		n := rd.remaining()
-		if n == 0 || n > MaxMapBlob {
-			return fmt.Errorf("%w: map blob of %d bytes", ErrLimit, n)
-		}
-		req.MapBlob = append(req.MapBlob, rd.b[rd.off:]...)
-		rd.off = len(rd.b)
-	case OpHandoverStart:
-		if req.Lo, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Hi, err = rd.u64(); err != nil {
-			return err
-		}
-		n := rd.remaining()
-		if n == 0 || n > MaxAddr {
-			return fmt.Errorf("%w: address of %d bytes", ErrLimit, n)
-		}
-		req.Addr = string(rd.b[rd.off:])
-		rd.off = len(rd.b)
-	case OpImportStart, OpImportResume:
-		if req.Lo, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Hi, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpImportBatch:
-		n, err := rd.count(MaxBatch, 16)
-		if err != nil {
-			return err
-		}
-		req.Keys = growTo(req.Keys, n)
-		req.Vals = growTo(req.Vals, n)
-		for i := 0; i < n; i++ {
-			req.Keys[i], _ = rd.u64()
-			req.Vals[i], _ = rd.u64()
-		}
-	case OpImportEnd:
-		b, err := rd.u8()
-		if err != nil {
-			return err
-		}
-		if b > 1 {
-			// Two spellings of one request would break canonicality.
-			return fmt.Errorf("proto: import-end commit byte %d", b)
-		}
-		req.Commit = b != 0
-	case OpMirror:
-		b, err := rd.u8()
-		if err != nil {
-			return err
-		}
-		if b > 1 {
-			return fmt.Errorf("proto: mirror del byte %d", b)
-		}
-		req.Del = b != 0
-		if req.Key, err = rd.u64(); err != nil {
-			return err
-		}
-		if req.Val, err = rd.u64(); err != nil {
-			return err
+	var err error
+	c := codec{in: body, off: prefixLen, dec: true, err: &err}
+	// A flag over a zero field is non-canonical (the encoder omits the flag
+	// instead), and epochs start at 1: refusing both keeps one encoding per
+	// request.
+	if opb&FlagDeadline != 0 {
+		if req.TimeoutMS = binary.BigEndian.Uint32(c.take(4)); req.TimeoutMS == 0 {
+			c.fail(errors.New("proto: deadline flag with zero budget"))
 		}
 	}
-	return rd.done()
+	if opb&FlagEpoch != 0 {
+		if req.Epoch = binary.BigEndian.Uint64(c.take(8)); req.Epoch == 0 {
+			c.fail(errors.New("proto: epoch flag with zero epoch"))
+		}
+	}
+	for _, f := range specs[op].req {
+		req.field(&c, nil, f)
+	}
+	c.done()
+	return err
 }
 
-// DecodeResponse decodes one protocol-v1 response from a frame body into
-// resp, which is overwritten; slices are reused when capacity suffices.
+// DecodeResponse decodes one response from a frame body into resp, which is
+// overwritten; slices are reused when capacity suffices.
 func DecodeResponse(body []byte, resp *Response) error {
-	return DecodeResponseV(body, resp, Version1)
-}
-
-// DecodeResponseV decodes one response encoded at the given negotiated
-// protocol version (see AppendResponseV for the difference).
-func DecodeResponseV(body []byte, resp *Response, ver uint8) error {
-	rd := reader{b: body}
-	id, err := rd.u64()
-	if err != nil {
-		return err
+	if len(body) < prefixLen {
+		return fmt.Errorf("%w: %d-byte body", ErrTruncated, len(body))
 	}
-	opb, err := rd.u8()
-	if err != nil {
-		return err
-	}
-	op := Opcode(opb)
+	op := Opcode(body[8])
 	if !op.ValidResponse() {
-		return fmt.Errorf("%w: %d", ErrBadOpcode, opb)
+		return fmt.Errorf("%w: %d", ErrBadOpcode, body[8])
 	}
-	st, err := rd.u8()
-	if err != nil {
-		return err
+	if len(body) == prefixLen {
+		return fmt.Errorf("%w: no status", ErrTruncated)
 	}
 	*resp = Response{
-		ID: id, Op: op, Status: Status(st),
+		ID: binary.BigEndian.Uint64(body), Op: op, Status: Status(body[prefixLen]),
 		Keys: resp.Keys[:0], Vals: resp.Vals[:0], Founds: resp.Founds[:0],
 		MapBlob: resp.MapBlob[:0],
 	}
-	if resp.Status != StatusOK {
-		if resp.Status == StatusOverload && ver >= Version2 {
-			if resp.RetryAfterMS, err = rd.u32(); err != nil {
-				return err
-			}
+	var err error
+	c := codec{in: body, off: prefixLen + 1, dec: true, err: &err}
+	if resp.Status == StatusOK {
+		for _, f := range specs[op].resp {
+			resp.field(&c, nil, f)
 		}
-		if resp.Status == StatusWrongShard && ver >= Version2 {
-			blobLen, err := rd.u32()
-			if err != nil {
-				return err
-			}
-			if int(blobLen) > MaxMapBlob || int(blobLen) > rd.remaining() {
-				return fmt.Errorf("%w: wrong-shard map blob of %d bytes, %d remain", ErrLimit, blobLen, rd.remaining())
-			}
-			resp.MapBlob = append(resp.MapBlob, rd.b[rd.off:rd.off+int(blobLen)]...)
-			rd.off += int(blobLen)
-		}
-		resp.Msg = string(rd.b[rd.off:])
-		return nil
+		c.done()
+		return err
 	}
-	//dytis:opswitch responses
-	switch op {
-	case OpPing, OpInsert, OpInsertBatch:
-	case OpGet:
-		f, err := rd.u8()
-		if err != nil {
-			return err
-		}
-		resp.Found = f != 0
-		if resp.Val, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpDelete:
-		f, err := rd.u8()
-		if err != nil {
-			return err
-		}
-		resp.Found = f != 0
-	case OpGetBatch:
-		n, err := rd.count(MaxBatch, 9)
-		if err != nil {
-			return err
-		}
-		resp.Vals = growTo(resp.Vals, n)
-		resp.Founds = growBools(resp.Founds, n)
-		for i := 0; i < n; i++ {
-			f, _ := rd.u8()
-			resp.Founds[i] = f != 0
-			resp.Vals[i], _ = rd.u64()
-		}
-	case OpDeleteBatch:
-		n, err := rd.count(MaxBatch, 1)
-		if err != nil {
-			return err
-		}
-		resp.Founds = growBools(resp.Founds, n)
-		for i := 0; i < n; i++ {
-			f, _ := rd.u8()
-			resp.Founds[i] = f != 0
-		}
-	case OpLen:
-		if resp.Val, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpHello:
-		if resp.Ver, err = rd.u8(); err != nil {
-			return err
-		}
-		if resp.Feats, err = rd.u32(); err != nil {
-			return err
-		}
-	case OpScanStart, OpScanCredit, OpScanCancel:
-	case OpScanChunk:
-		n, err := rd.count(MaxScan, 16)
-		if err != nil {
-			return err
-		}
-		resp.Keys = growTo(resp.Keys, n)
-		resp.Vals = growTo(resp.Vals, n)
-		for i := 0; i < n; i++ {
-			resp.Keys[i], _ = rd.u64()
-			resp.Vals[i], _ = rd.u64()
-		}
-	case OpScanEnd:
-		if resp.Val, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpShardInfo:
-		if resp.Lo, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Hi, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Epoch, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.State, err = rd.u8(); err != nil {
-			return err
-		}
-	case OpMapGet:
-		n := rd.remaining()
-		if n == 0 || n > MaxMapBlob {
-			return fmt.Errorf("%w: map blob of %d bytes", ErrLimit, n)
-		}
-		resp.MapBlob = append(resp.MapBlob, rd.b[rd.off:]...)
-		rd.off = len(rd.b)
-	case OpHandoverStatus:
-		if resp.State, err = rd.u8(); err != nil {
-			return err
-		}
-		if resp.Copied, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Mirrored, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Retries, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Resumes, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Watermark, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Lo, err = rd.u64(); err != nil {
-			return err
-		}
-		if resp.Hi, err = rd.u64(); err != nil {
-			return err
-		}
-		var n uint8
-		if n, err = rd.u8(); err != nil {
-			return err
-		}
-		if int(n) > rd.remaining() {
-			return fmt.Errorf("%w: address of %d bytes, %d remain", ErrTruncated, n, rd.remaining())
-		}
-		resp.Addr = string(rd.b[rd.off : rd.off+int(n)])
-		resp.Cause = string(rd.b[rd.off+int(n):])
-		rd.off = len(rd.b)
-	case OpImportResume:
-		f, err := rd.u8()
-		if err != nil {
-			return err
-		}
-		if f > 1 {
-			return fmt.Errorf("proto: import-resume fresh byte %d", f)
-		}
-		resp.Fresh = f != 0
-		if resp.Applied, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpImportBatch:
-		if resp.Applied, err = rd.u64(); err != nil {
-			return err
-		}
-	case OpMapSet, OpHandoverStart, OpHandoverResume, OpHandoverAbort, OpImportStart, OpImportEnd, OpMirror:
+	if resp.Status == StatusOverload {
+		resp.RetryAfterMS = binary.BigEndian.Uint32(c.take(4))
 	}
-	return rd.done()
+	if resp.Status == StatusWrongShard {
+		n := int(binary.BigEndian.Uint32(c.take(4)))
+		if left := len(c.in) - c.off; n > min(MaxMapBlob, left) {
+			c.fail(fmt.Errorf("%w: wrong-shard map blob of %d bytes, %d remain", ErrLimit, n, left))
+		}
+		resp.MapBlob = append(resp.MapBlob, c.take(n)...)
+	}
+	resp.Msg = string(c.in[c.off:])
+	return err
 }
 
-func growTo(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
+// AppendResponseV is AppendResponse; ver is ignored.
+//
+// Deprecated: use AppendResponse. benchmark/layers.go is the last caller;
+// ROADMAP item 24(b) moves it and deletes this.
+func AppendResponseV(dst []byte, r *Response, ver uint8) ([]byte, error) {
+	return AppendResponse(dst, r)
 }
 
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
+// DecodeResponseV is DecodeResponse; ver is ignored.
+//
+// Deprecated: use DecodeResponse. benchmark/layers.go is the last caller;
+// ROADMAP item 24(b) moves it and deletes this.
+func DecodeResponseV(body []byte, resp *Response, ver uint8) error {
+	return DecodeResponse(body, resp)
 }
 
 // --- framing ----------------------------------------------------------------

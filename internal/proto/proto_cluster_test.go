@@ -15,7 +15,6 @@ func TestClusterRequestRoundTrip(t *testing.T) {
 		{ID: 3, Op: OpMapSet, Lo: 0, Hi: math.MaxUint64, MapBlob: []byte{1, 2, 3, 4}},
 		{ID: 4, Op: OpHandoverStart, Lo: 100, Hi: 200, Addr: "127.0.0.1:7071"},
 		{ID: 5, Op: OpHandoverStatus},
-		{ID: 6, Op: OpImportStart, Lo: 100, Hi: 200},
 		{ID: 7, Op: OpImportBatch, Keys: []uint64{1, 2}, Vals: []uint64{10, 20}},
 		{ID: 8, Op: OpImportBatch}, // empty page is legal
 		{ID: 9, Op: OpImportEnd, Commit: true},
@@ -58,7 +57,6 @@ func TestClusterResponseRoundTrip(t *testing.T) {
 			Addr: "127.0.0.1:7071", Cause: "bulk copy to 127.0.0.1:7071: connection refused"},
 		{ID: 5, Op: OpHandoverStatus, Addr: strings.Repeat("a", MaxAddr), Cause: "x"},
 		{ID: 5, Op: OpHandoverStatus}, // no handover: empty addr and cause, all-zero counters
-		{ID: 6, Op: OpImportStart},
 		{ID: 7, Op: OpImportBatch, Applied: 12345},
 		{ID: 8, Op: OpImportEnd},
 		{ID: 9, Op: OpMirror},
@@ -67,84 +65,69 @@ func TestClusterResponseRoundTrip(t *testing.T) {
 		{ID: 12, Op: OpImportResume, Fresh: true, Applied: 777},
 		{ID: 13, Op: OpImportResume, Fresh: false},
 	}
-	for _, ver := range []uint8{Version1, Version2} {
-		for _, want := range cases {
-			frame, err := AppendResponseV(nil, &want, ver)
-			if err != nil {
-				t.Fatalf("v%d AppendResponseV(%v): %v", ver, want.Op, err)
-			}
-			var got Response
-			if err := DecodeResponseV(frame[4:], &got, ver); err != nil {
-				t.Fatalf("v%d DecodeResponseV(%v): %v", ver, want.Op, err)
-			}
-			normResp(&want)
-			normResp(&got)
-			if len(want.MapBlob) == 0 {
-				want.MapBlob = nil
-			}
-			if len(got.MapBlob) == 0 {
-				got.MapBlob = nil
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("v%d round trip %v: got %+v want %+v", ver, want.Op, got, want)
-			}
+	for _, want := range cases {
+		frame, err := AppendResponse(nil, &want)
+		if err != nil {
+			t.Fatalf("AppendResponse(%v): %v", want.Op, err)
+		}
+		var got Response
+		if err := DecodeResponse(frame[4:], &got); err != nil {
+			t.Fatalf("DecodeResponse(%v): %v", want.Op, err)
+		}
+		normResp(&want)
+		normResp(&got)
+		if len(want.MapBlob) == 0 {
+			want.MapBlob = nil
+		}
+		if len(got.MapBlob) == 0 {
+			got.MapBlob = nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("round trip %v: got %+v want %+v", want.Op, got, want)
 		}
 	}
 }
 
-// TestWrongShardRedirectPayload pins the version fork: at v2 a WrongShard
-// response carries the server's encoded map before the message, at v1 the
-// message only.
+// TestWrongShardRedirectPayload pins the redirect: a WrongShard response
+// carries the server's encoded map before the message.
 func TestWrongShardRedirectPayload(t *testing.T) {
 	want := Response{
 		ID: 1, Op: OpGet, Status: StatusWrongShard,
 		MapBlob: []byte{0xAA, 0xBB, 0xCC}, Msg: "key moved",
 	}
-	frame, err := AppendResponseV(nil, &want, Version2)
+	frame, err := AppendResponse(nil, &want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := DecodeResponseV(frame[4:], &got, Version2); err != nil {
+	if err := DecodeResponse(frame[4:], &got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got.MapBlob) != string(want.MapBlob) || got.Msg != want.Msg {
-		t.Fatalf("v2 redirect: got blob %x msg %q", got.MapBlob, got.Msg)
+		t.Fatalf("redirect: got blob %x msg %q", got.MapBlob, got.Msg)
 	}
 
-	// v1 drops the blob: the whole remainder is the message.
-	frame, err = AppendResponseV(nil, &want, Version1)
+	// An empty blob is legal (a node may not have a map yet).
+	frame, err = AppendResponse(nil, &Response{ID: 2, Op: OpGet, Status: StatusWrongShard, Msg: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeResponseV(frame[4:], &got, Version1); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.MapBlob) != 0 || got.Msg != want.Msg {
-		t.Fatalf("v1 redirect: got blob %x msg %q", got.MapBlob, got.Msg)
-	}
-
-	// An empty blob at v2 is legal (a node may not have a map yet).
-	frame, err = AppendResponseV(nil, &Response{ID: 2, Op: OpGet, Status: StatusWrongShard, Msg: "m"}, Version2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DecodeResponseV(frame[4:], &got, Version2); err != nil {
+	if err := DecodeResponse(frame[4:], &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.MapBlob) != 0 || got.Msg != "m" {
-		t.Fatalf("v2 empty-blob redirect: got blob %x msg %q", got.MapBlob, got.Msg)
+		t.Fatalf("empty-blob redirect: got blob %x msg %q", got.MapBlob, got.Msg)
 	}
 
 	// A lying blob length cannot over-read into the message or beyond.
-	body, err := AppendResponseV(nil, &want, Version2)
+	body, err := AppendResponse(nil, &want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body = body[4:]
 	// status is at offset 9; blob length is the next 4 bytes.
 	body[10], body[11], body[12], body[13] = 0xFF, 0xFF, 0xFF, 0xFF
-	if err := DecodeResponseV(body, &got, Version2); !errors.Is(err, ErrLimit) {
+	if err := DecodeResponse(body, &got); !errors.Is(err, ErrLimit) {
 		t.Fatalf("lying blob length: got %v, want ErrLimit", err)
 	}
 }
@@ -173,7 +156,7 @@ func TestClusterRequestLimits(t *testing.T) {
 // missing prefix or one that claims more bytes than the frame holds.
 func TestHandoverStatusAddrLength(t *testing.T) {
 	long := Response{ID: 1, Op: OpHandoverStatus, Addr: strings.Repeat("x", MaxAddr+1)}
-	if _, err := AppendResponseV(nil, &long, Version2); !errors.Is(err, ErrLimit) {
+	if _, err := AppendResponse(nil, &long); !errors.Is(err, ErrLimit) {
 		t.Errorf("oversized addr: got %v, want ErrLimit", err)
 	}
 	want := Response{ID: 1, Op: OpHandoverStatus, State: 3, Addr: "a:1", Cause: "boom"}

@@ -128,49 +128,27 @@ func TestResponseOnlyOpcodesRejectedAsRequests(t *testing.T) {
 	}
 }
 
-// TestOverloadRetryAfterVersions pins the one point where v1 and v2 response
-// encodings differ: the typed retry-after field of a StatusOverload response.
+// TestOverloadRetryAfterVersions pins the typed retry-after field of a
+// StatusOverload response: it survives the wire, and it wins over Msg.
 func TestOverloadRetryAfterVersions(t *testing.T) {
 	src := &Response{ID: 9, Op: OpGet, Status: StatusOverload, RetryAfterMS: 75, Msg: "75ms"}
-
-	// v2: the typed field survives the wire.
-	frame, err := AppendResponseV(nil, src, Version2)
+	frame, err := AppendResponse(nil, src)
 	if err != nil {
-		t.Fatalf("AppendResponseV: %v", err)
+		t.Fatalf("AppendResponse: %v", err)
 	}
 	body, _, err := ReadFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
-	var v2 Response
-	if err := DecodeResponseV(body, &v2, Version2); err != nil {
-		t.Fatalf("DecodeResponseV: %v", err)
-	}
-	if v2.RetryAfterMS != 75 || v2.Msg != "75ms" {
-		t.Fatalf("v2 overload: got RetryAfterMS=%d Msg=%q", v2.RetryAfterMS, v2.Msg)
-	}
-	if d, ok := v2.RetryAfter(); !ok || d != 75*time.Millisecond {
-		t.Fatalf("v2 RetryAfter() = %v, %v", d, ok)
-	}
-
-	// v1: the typed field is not encoded; the hint rides in Msg only.
-	frame, err = AppendResponseV(nil, src, Version1)
-	if err != nil {
-		t.Fatalf("AppendResponseV(v1): %v", err)
-	}
-	body, _, err = ReadFrame(bytes.NewReader(frame), nil)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	var v1 Response
-	if err := DecodeResponse(body, &v1); err != nil {
+	var got Response
+	if err := DecodeResponse(body, &got); err != nil {
 		t.Fatalf("DecodeResponse: %v", err)
 	}
-	if v1.RetryAfterMS != 0 || v1.Msg != "75ms" {
-		t.Fatalf("v1 overload: got RetryAfterMS=%d Msg=%q", v1.RetryAfterMS, v1.Msg)
+	if got.RetryAfterMS != 75 || got.Msg != "75ms" {
+		t.Fatalf("overload: got RetryAfterMS=%d Msg=%q", got.RetryAfterMS, got.Msg)
 	}
-	if d, ok := v1.RetryAfter(); !ok || d != 75*time.Millisecond {
-		t.Fatalf("v1 RetryAfter() fallback = %v, %v", d, ok)
+	if d, ok := got.RetryAfter(); !ok || d != 75*time.Millisecond {
+		t.Fatalf("RetryAfter() = %v, %v", d, ok)
 	}
 
 	// The typed field wins over a contradictory Msg.

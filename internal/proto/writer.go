@@ -97,7 +97,7 @@ func (w *Writer) AppendResponses(wait bool, resps ...*Response) (baton bool, err
 	start := len(w.pending)
 	for _, r := range resps {
 		at := len(w.pending)
-		if w.pending, err = AppendResponseV(w.pending, r, Version2); err != nil {
+		if w.pending, err = AppendResponse(w.pending, r); err != nil {
 			w.pending = w.pending[:start]
 			return false, err
 		}

@@ -265,19 +265,13 @@ func (c *conn) hello() *proto.Response {
 // should go on.
 func (c *conn) dispatch(arrival time.Time) bool {
 	req := &c.req
-	switch req.Op {
-	case proto.OpShardInfo, proto.OpMapGet, proto.OpMapSet,
-		proto.OpHandoverStart, proto.OpHandoverStatus,
-		proto.OpHandoverResume, proto.OpHandoverAbort, proto.OpImportResume,
-		proto.OpImportStart, proto.OpImportBatch, proto.OpImportEnd, proto.OpMirror:
+	if req.Op.Cluster() && (c.srv.cfg.Cluster == nil || c.feats&proto.FeatCluster == 0) {
 		// Cluster opcodes need the feature negotiated, which a standalone
 		// server never grants; a peer using them anyway is broken, so the
 		// connection quarantines like any other feature violation. Checking
 		// Cluster, not only the grant, keeps a standalone server's own node
 		// out of every cluster opcode's reach.
-		if c.srv.cfg.Cluster == nil || c.feats&proto.FeatCluster == 0 {
-			return c.refuse("cluster: feature not negotiated")
-		}
+		return c.refuse("cluster: feature not negotiated")
 	}
 	//dytis:opswitch requests group=serve
 	switch req.Op {
@@ -488,8 +482,6 @@ func (c *conn) execute(req *proto.Request, resp *proto.Response) (panicked bool)
 		err = node.HandoverResume()
 	case proto.OpHandoverAbort:
 		err = node.HandoverAbort()
-	case proto.OpImportStart:
-		err = node.ImportStart(req.Lo, req.Hi)
 	case proto.OpImportResume:
 		resp.Fresh, resp.Applied, err = node.ImportResume(req.Lo, req.Hi)
 	case proto.OpImportBatch:

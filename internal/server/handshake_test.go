@@ -92,7 +92,7 @@ func rawRecv(t *testing.T, nc net.Conn) proto.Response {
 		t.Fatalf("reading a response: %v", err)
 	}
 	var resp proto.Response
-	if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
+	if err := proto.DecodeResponse(body, &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp

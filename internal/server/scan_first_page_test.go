@@ -57,7 +57,7 @@ func TestScanFirstPageAllocFree(t *testing.T) {
 		if body, buf, err = proto.ReadFrameCRC(br, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err = proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
+		if err = proto.DecodeResponse(body, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.ID != id || resp.Op != op || resp.Status != proto.StatusOK {

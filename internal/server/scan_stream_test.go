@@ -74,9 +74,9 @@ func TestScanStreamLargeBounded(t *testing.T) {
 	// frame of slack for the end-of-stream and handshake traffic — which is
 	// a small fraction of the ~16 MiB a slurped scan of n pairs marshals.
 	full := make([]uint64, chunk)
-	frame, err := proto.AppendResponseV(nil, &proto.Response{
+	frame, err := proto.AppendResponse(nil, &proto.Response{
 		Op: proto.OpScanChunk, Keys: full, Vals: full,
-	}, proto.Version2)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

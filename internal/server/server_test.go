@@ -297,7 +297,7 @@ func TestGracefulDrain(t *testing.T) {
 			break // EOF once the drained conn closes
 		}
 		var resp proto.Response
-		if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
+		if err := proto.DecodeResponse(body, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Status != proto.StatusOK {
@@ -372,7 +372,7 @@ func TestSlowReaderBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading response %d: %v", want, err)
 		}
-		if err := proto.DecodeResponseV(body, &resp, proto.Version2); err != nil {
+		if err := proto.DecodeResponse(body, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.ID != want || resp.Status != proto.StatusOK || len(resp.Vals) != batch || resp.Vals[batch-1] != batch-1 {

@@ -56,13 +56,17 @@ func TestStandaloneRefusesClusterFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range []proto.Request{
-		{ID: 7, Op: proto.OpShardInfo},
-		{ID: 7, Op: proto.OpMapSet, Lo: 0, Hi: ^uint64(0), MapBlob: one.Encode()},
-		{ID: 7, Op: proto.OpHandoverStart, Lo: 0, Hi: 1 << 40, Addr: "127.0.0.1:1"},
-		{ID: 7, Op: proto.OpImportStart, Lo: 0, Hi: 1 << 40},
-		{ID: 7, Op: proto.OpMirror, Key: 12345, Val: 1},
-	} {
+	// Every cluster opcode, each with fields its encoder accepts (it writes
+	// only its own). The count pins the family, so an opcode that lost its
+	// table's cluster mark fails here rather than drop out of the loop.
+	family := 0
+	for op := proto.Opcode(1); op < proto.NumOpcodes; op++ {
+		if !op.Cluster() {
+			continue
+		}
+		family++
+		req := proto.Request{ID: 7, Op: op, Lo: 0, Hi: 1 << 40, Addr: "127.0.0.1:1",
+			MapBlob: one.Encode(), Key: 12345, Val: 1}
 		t.Run(req.Op.String(), func(t *testing.T) {
 			nc := rawDial(t, addr)
 			rawSend(t, nc, req)
@@ -76,6 +80,9 @@ func TestStandaloneRefusesClusterFamily(t *testing.T) {
 			}
 			requireClosed(t, nc, req.Op.String())
 		})
+	}
+	if family != 11 {
+		t.Fatalf("%d opcodes need FeatCluster, want 11", family)
 	}
 
 	if n, err := bystander.Len(ctx); err != nil || n != 10 {

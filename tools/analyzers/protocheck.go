@@ -31,7 +31,6 @@ import (
 //
 //	requests  — every request opcode (all Op* minus //dytis:response-only)
 //	responses — every opcode that may appear in a response (all Op*)
-//	opcodes   — alias of responses, for opcode-to-name tables
 //	statuses  — every Status* constant
 //
 // Each marked switch must name every constant of its set in its case
@@ -217,7 +216,7 @@ func requiredNames(f *protoFacts, set string) []string {
 				names = append(names, n)
 			}
 		}
-	case "responses", "opcodes":
+	case "responses":
 		for n := range f.Opcodes {
 			names = append(names, n)
 		}
@@ -253,9 +252,9 @@ func opswitchMarkers(pass *Pass, f *ast.File) map[int]*opswitch {
 				m.set = fields[0]
 			}
 			switch m.set {
-			case "requests", "responses", "opcodes", "statuses":
+			case "requests", "responses", "statuses":
 			default:
-				pass.Reportf(cm.Pos(), "dytis:opswitch: unknown set %q (want requests|responses|opcodes|statuses)", m.set)
+				pass.Reportf(cm.Pos(), "dytis:opswitch: unknown set %q (want requests|responses|statuses)", m.set)
 				continue
 			}
 			bad := false

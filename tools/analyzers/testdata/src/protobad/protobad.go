@@ -49,8 +49,8 @@ var (
 
 // String misses OpNew.
 func (o Opcode) String() string {
-	//dytis:opswitch opcodes
-	switch o { // want `protocol switch \(opcodes\) does not handle OpNew`
+	//dytis:opswitch responses
+	switch o { // want `protocol switch \(responses\) does not handle OpNew`
 	case OpPing:
 		return "PING"
 	case OpGet:

@@ -45,7 +45,7 @@ const (
 
 // String covers every opcode.
 func (o Opcode) String() string {
-	//dytis:opswitch opcodes
+	//dytis:opswitch responses
 	switch o {
 	case OpPing:
 		return "PING"
